@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Cross-validate the closed trigonometric spectra against direct summation.
+"""Cross-validate the closed trigonometric spectra against the DFT oracle.
 
-Every family's closed form is checked against the oracle route: direct
-summation of the circulant row against root-of-unity powers for the 1-D
-kinds, per-dimension summation composed over the index grid for tori.
+Every family's closed form is checked against the oracle route: the DFT
+of the circulant row for the 1-D kinds, per-dimension ring DFTs composed
+over the index grid for tori.
 The script then shows how the closed-form rate catalog reconciles with
 the canonical pipeline, including the entries that deviate on purpose.
 """
@@ -12,7 +12,7 @@ import numpy as np
 
 import consensus_spectra as cs
 
-print("oracle agreement, worst |closed - direct| per model:")
+print("oracle agreement, worst |closed - DFT| per model:")
 for model in [
     cs.ring(12, 0.3),
     cs.ring(33, 0.8),
@@ -21,8 +21,8 @@ for model in [
     cs.torus((3, 5), 1.0),
 ]:
     closed = cs.full_spectrum(model, source=cs.SpectrumSource.CLOSED_FORM).values
-    direct = cs.full_spectrum(model, source=cs.SpectrumSource.DFT_ORACLE).values
-    print(f"  {cs.format_model(model):32s} {np.max(np.abs(closed - direct)):.3e}")
+    dft = cs.full_spectrum(model, source=cs.SpectrumSource.DFT_ORACLE).values
+    print(f"  {cs.format_model(model):32s} {np.max(np.abs(closed - dft)):.3e}")
 
 print("\ntrace identity: eigenvalue sum equals node count x degree weight")
 for model in [cs.ring(17, 0.4), cs.r_nearest_ring(20, 5, 0.2), cs.torus((3, 4, 5), 0.7)]:

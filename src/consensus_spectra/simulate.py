@@ -4,12 +4,13 @@ The iteration preserves the mean of the state vector (column sums of L
 are zero), so the error norm tracked here is the Euclidean distance to
 the uniform vector at the initial average.  Per-step multiplication
 either materializes the dense Laplacian or exploits structure (cyclic
-shifts for the 1-D kinds, per-axis shifts on the torus grid); both
-produce identical traces.
+shifts for the ring, two circular window sums for the r-nearest ring,
+per-axis shifts on the torus grid); both produce identical traces.
 
 Initial vectors for the verification harness come from an explicit
-splitmix-style 64-bit generator so that traces reproduce bit-for-bit
-across platforms and processes.
+splitmix-style 64-bit generator, evaluated for the whole vector at once
+in uint64 arithmetic, so that traces reproduce bit-for-bit across
+platforms and processes.
 """
 
 from __future__ import annotations
@@ -46,30 +47,45 @@ class SimulationTrace:
     converged: bool
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
 def splitmix64(seed: int):
     """Deterministic 64-bit stream; each call to the returned function
     yields the next uint64."""
-    state = seed & 0xFFFFFFFFFFFFFFFF
+    state = seed & _MASK64
 
     def next_u64() -> int:
         nonlocal state
-        state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        state = (state + _GOLDEN_GAMMA) & _MASK64
         z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     return next_u64
 
 
 def uniform_vector(seed: int, size: int) -> np.ndarray:
-    """size values uniform on [0, 1), 53-bit mantissa, splitmix stream."""
-    nxt = splitmix64(seed)
-    return np.array([(nxt() >> 11) / float(1 << 53) for _ in range(size)])
+    """size values uniform on [0, 1), 53-bit mantissa, splitmix stream.
+
+    Bit-identical to drawing ``size`` values from ``splitmix64(seed)``:
+    the k-th state is seed + k * gamma, and uint64 arrays wrap modulo
+    2**64 exactly as the masked scalar arithmetic does.
+    """
+    k = np.arange(1, size + 1, dtype=np.uint64)
+    z = k * np.uint64(_GOLDEN_GAMMA) + np.uint64(seed & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(float) / float(1 << 53)
 
 
 def _structured_apply_L(model: NetworkModel):
-    """Return x -> L @ x using cyclic-shift arithmetic only."""
+    """Return x -> L @ x without materializing L."""
     a = model.a
     fw = (-1.0 + a) / 2.0
     bw = (-1.0 - a) / 2.0
@@ -81,12 +97,18 @@ def _structured_apply_L(model: NetworkModel):
         return apply
     if model.kind is Kind.R_NEAREST_RING:
         r = model.r
+        n = model.n
 
         def apply(x):
-            acc = float(r) * x
-            for off in range(1, r + 1):
-                acc = acc + fw * np.roll(x, -off) + bw * np.roll(x, off)
-            return acc
+            # L @ 1 = 0, so work on the deviation: the prefix sums then
+            # stay near the size of the fluctuations, not of the mean
+            d = x - x.mean()
+            c = np.concatenate(([0.0], np.cumsum(np.concatenate((d[-r:], d, d[:r])))))
+            # d[i] sits at padded position i + r; the forward window is
+            # d[i+1 .. i+r], the backward window d[i-r .. i-1]
+            ahead = c[2 * r + 1 : 2 * r + 1 + n] - c[r + 1 : r + 1 + n]
+            behind = c[r : r + n] - c[:n]
+            return float(r) * d + fw * ahead + bw * behind
 
         return apply
     dims = model.dims

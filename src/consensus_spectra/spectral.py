@@ -3,8 +3,8 @@
 Three independent routes produce the same spectrum:
 
 * closed trigonometric forms, one expression per family;
-* direct summation of the circulant first row against powers of the
-  n-th root of unity (the oracle route, kept free of any closed form);
+* the discrete Fourier transform of the circulant first row (the
+  oracle route, kept free of any closed form);
 * Cartesian composition for tori, summing per-ring spectra over the
   index grid.
 
@@ -100,19 +100,19 @@ class ExtremalPair:
 
 
 def circulant_spectrum(row: CirculantRow, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
-    """Spectrum of a circulant matrix by direct summation.
+    """Spectrum of a circulant matrix as the DFT of its first row.
 
     Eigenvalue j is sum over l of entries[l] * w**(l*j) with
     w = exp(2*pi*i/n).  This is the oracle route: it deliberately
-    avoids every closed form in this module.  Cost is O(n^2).
+    avoids every closed form in this module.
     """
     entries = row.entries
     n = row.order
     if n > cap:
-        raise SizeError(f"direct summation is O(n^2); n={n} exceeds cap {cap}")
-    omega = np.exp(2j * np.pi / n)
-    powers = omega ** ((np.arange(n)[:, None] * np.arange(n)[None, :]) % n)
-    values = powers @ entries.astype(complex)
+        raise SizeError(f"circulant oracle: n={n} exceeds cap {cap}")
+    # numpy's ifft carries the positive exponent (and a 1/n factor), so
+    # index j lands on w**(l*j); fft would give the conjugate at index -j
+    values = n * np.fft.ifft(entries)
     # model is reconstructed by the callers that have one; standalone rows
     # get a ring-shaped placeholder carrying only the order
     model = NetworkModel(kind=Kind.RING, a=0.0, n=n)
@@ -195,7 +195,7 @@ def full_spectrum(
 ) -> Spectrum:
     """Complete spectrum via the requested route.
 
-    DFT_ORACLE sums the circulant row directly for the 1-D kinds; for a
+    DFT_ORACLE transforms the circulant row for the 1-D kinds; for a
     torus it runs the per-dimension ring oracle and composes the sums,
     which stays independent of the trigonometric simplification.
     CARTESIAN_SUM is that same composition and is only defined for tori.

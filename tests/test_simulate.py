@@ -9,6 +9,7 @@ from consensus_spectra import (
     SizeError,
     design_pipeline,
     empirical_contraction,
+    format_model,
     r_nearest_ring,
     ring,
     run_consensus,
@@ -18,6 +19,14 @@ from consensus_spectra import (
     uniform_vector,
     verify_consensus,
 )
+from consensus_spectra.simulate import _structured_apply_L
+from consensus_spectra.topology import dense_laplacian
+
+
+def scalar_uniform_stream(seed, size):
+    """The scalar splitmix64 reference, one draw at a time."""
+    nxt = splitmix64(seed)
+    return np.array([(nxt() >> 11) / float(1 << 53) for _ in range(size)])
 
 
 class TestSplitmix:
@@ -34,6 +43,34 @@ class TestSplitmix:
         assert np.array_equal(v1, v2)
         assert np.all((0.0 <= v1) & (v1 < 1.0))
         assert not np.array_equal(v1, uniform_vector(43, 16))
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, -1, 2**64 - 1, 2**64 + 5, 2**70])
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_uniform_vector_matches_scalar_stream(self, seed, size):
+        assert np.array_equal(uniform_vector(seed, size), scalar_uniform_stream(seed, size))
+
+    @given(st.integers(min_value=-(2**80), max_value=2**80))
+    @settings(max_examples=50, deadline=None)
+    def test_uniform_vector_matches_scalar_stream_any_seed(self, seed):
+        assert np.array_equal(uniform_vector(seed, 64), scalar_uniform_stream(seed, 64))
+
+
+def _apply_models():
+    models = []
+    for a in (0.0, 0.37, 1.0):
+        models += [ring(11, a), torus((3, 4, 5), a), r_nearest_ring(14, 1, a), r_nearest_ring(14, 6, a)]
+    return models
+
+
+class TestStructuredApply:
+    @pytest.mark.parametrize("model", _apply_models(), ids=format_model)
+    def test_matches_dense_laplacian(self, model):
+        # the large common offset goes through the mean subtraction; an
+        # entrywise comparison, unlike error norms, tells L from L^T
+        x = 1e6 + uniform_vector(5, model.order)
+        got = _structured_apply_L(model)(x)
+        expected = dense_laplacian(model).values @ x
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(x)
 
 
 class TestRunConsensus:

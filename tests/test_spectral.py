@@ -75,6 +75,21 @@ class TestCirculantSpectrum:
         # trace identity
         assert values.sum() == pytest.approx(len(entries) * entries[0], abs=1e-8)
 
+    @given(
+        st.lists(
+            st.floats(min_value=-5, max_value=5, allow_subnormal=False), min_size=3, max_size=40
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_index_order_matches_summation(self, entries):
+        # eigenvalue j must be sum_l entries[l] w**(l*j), not its
+        # conjugate at index -j, which the closure and trace checks
+        # above cannot tell apart
+        values = circulant_spectrum(CirculantRow(entries=np.array(entries))).values
+        tol = 1e-9 * sum(abs(e) for e in entries)
+        for j in range(len(entries)):
+            assert abs(values[j] - dft_by_hand(entries, j)) <= tol
+
 
 class TestClosedEigenvalue:
     def test_matches_direct_summation(self):
