@@ -4,8 +4,8 @@ Every row carries both the model's rate and the rate of the symmetric
 (a = 0) model of identical topology; their difference is the absolute
 error introduced by ignoring link asymmetry.  Rates come from the
 canonical pipeline unless the caller switches the method, and rows are
-produced in deterministic grid order regardless of any internal
-parallelism, so a dataset regenerates bit-identically across runs.
+produced serially in deterministic grid order, so a dataset regenerates
+bit-identically across runs.
 
 Each figure's grid is fixed here and recorded in the dataset metadata:
 
@@ -23,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
@@ -33,8 +31,6 @@ from .design import closed_design, design_pipeline, minimax_h
 from .errors import ConsensusSpectraError, ParameterError
 from .spectral import full_spectrum
 from .topology import Kind, NetworkModel, ring, torus
-
-THREADS_ENV = "CONSENSUS_SPECTRA_THREADS"
 
 
 @dataclass(frozen=True)
@@ -102,14 +98,7 @@ def _evaluate_point(model: NetworkModel, method: str) -> SweepRow:
 
 
 def _evaluate_grid(models: list[NetworkModel], method: str) -> list[SweepRow]:
-    workers = 1
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        workers = max(1, min(int(env), len(models) or 1))
-    if workers == 1:
-        return [_evaluate_point(m, method) for m in models]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda m: _evaluate_point(m, method), models))
+    return [_evaluate_point(m, method) for m in models]
 
 
 def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> list[SweepRow]:
@@ -125,10 +114,7 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
     models = []
     for combo in product(*(varying[k] for k in keys)):
-        fields = dict(zip(keys, combo))
-        if "dims" in fields:
-            fields["dims"] = tuple(fields["dims"])
-        models.append(dataclasses.replace(template, **fields))
+        models.append(dataclasses.replace(template, **dict(zip(keys, combo))))
     return _evaluate_grid(models, method)
 
 
@@ -139,7 +125,7 @@ def absolute_error_curve(kind: Kind, sizes, a: float, method: str = "pipeline") 
     models = []
     for size in sizes:
         if kind is Kind.TORUS:
-            models.append(NetworkModel(kind=kind, a=a, dims=tuple(size)))
+            models.append(NetworkModel(kind=kind, a=a, dims=size))
         else:
             models.append(NetworkModel(kind=kind, a=a, n=int(size)))
     return _evaluate_grid(models, method)

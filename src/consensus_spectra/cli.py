@@ -7,7 +7,7 @@ are given with the grammar ``ring:n=<int>,a=<float>``,
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on
 computation errors (degenerate extremal pair, unsupported parity,
-size cap).  Errors print one machine-parsable line on stderr.
+divergence).  Errors print one machine-parsable line on stderr.
 """
 
 from __future__ import annotations
@@ -21,27 +21,14 @@ from . import analysis, design as design_mod, simulate as simulate_mod, spectral
 from .errors import (
     ConsensusSpectraError,
     DegenerateError,
-    DivergenceError,
-    InsufficientDataError,
     ParameterError,
-    SizeError,
     TopologyError,
     UnsupportedParityError,
-)
-
-_VALIDATION_ERRORS = (ParameterError, TopologyError)
-_COMPUTATION_ERRORS = (
-    DegenerateError,
-    UnsupportedParityError,
-    SizeError,
-    DivergenceError,
-    InsufficientDataError,
 )
 
 _SOURCES = {
     "closed": spectral.SpectrumSource.CLOSED_FORM,
     "dft": spectral.SpectrumSource.DFT_ORACLE,
-    "cartesian": spectral.SpectrumSource.CARTESIAN_SUM,
 }
 
 
@@ -55,7 +42,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_spectrum(args) -> int:
     model = topology.parse_model(args.model)
-    spectrum = spectral.full_spectrum(model, source=_SOURCES[args.source], cap=args.dense_cap)
+    spectrum = spectral.full_spectrum(model, source=_SOURCES[args.source])
     if args.format == "csv":
         _emit(spectral.spectrum_to_csv(spectrum), args.out)
     else:
@@ -65,15 +52,14 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_design(args) -> int:
     model = topology.parse_model(args.model)
-    reconciliation = None
     if args.method == "pipeline":
-        result = design_mod.design_pipeline(model, cap=args.dense_cap)
+        result = design_mod.design_pipeline(model)
     elif args.method == "minimax":
-        result = design_mod.minimax_h(spectral.full_spectrum(model, cap=args.dense_cap))
+        result = design_mod.minimax_h(spectral.full_spectrum(model))
     else:
-        result = design_mod.closed_design(model, cap=args.dense_cap)
+        result = design_mod.closed_design(model)
     try:
-        reconciliation = design_mod.closed_form_R(model, cap=args.dense_cap)
+        reconciliation = design_mod.closed_form_R(model)
     except (UnsupportedParityError, DegenerateError):
         reconciliation = None
     payload = design_mod.design_export_dict(model, result, reconciliation)
@@ -90,11 +76,9 @@ def _cmd_simulate(args) -> int:
     model = topology.parse_model(args.model)
     h = args.h
     if h is None:
-        h = design_mod.design_pipeline(model, cap=args.dense_cap).h
+        h = design_mod.design_pipeline(model).h
     x0 = simulate_mod.uniform_vector(args.seed, model.order)
-    trace = simulate_mod.run_consensus(
-        model, h, x0, max_steps=args.steps, tolerance=args.tolerance, cap=args.dense_cap
-    )
+    trace = simulate_mod.run_consensus(model, h, x0, max_steps=args.steps, tolerance=args.tolerance)
     if args.format == "csv":
         _emit(simulate_mod.trace_to_csv(trace), args.out)
     else:
@@ -112,10 +96,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = topology.parse_model(args.model)
-    plan = design_mod.design_pipeline(model, cap=args.dense_cap)
-    results = simulate_mod.verify_consensus(
-        model, plan, trials=args.trials, seed=args.seed, cap=args.dense_cap
-    )
+    plan = design_mod.design_pipeline(model)
+    results = simulate_mod.verify_consensus(model, plan, trials=args.trials, seed=args.seed)
     # failed trials are report entries, not computation errors
     _emit(simulate_mod.report_to_json(results), args.out)
     return 0
@@ -194,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model", required=True, help="model spec, e.g. ring:n=8,a=0.3")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--dense-cap", type=int, default=topology.DEFAULT_DENSE_CAP)
 
     p = sub.add_parser("spectrum", help="emit the full Laplacian spectrum")
     common(p)
@@ -236,21 +217,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the validation class
+        # here; --help exits 0
+        return 1 if exc.code else 0
     if args.format is None:
         args.format = args.default_format
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
-        return 1
-    except _COMPUTATION_ERRORS as exc:
-        sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
-        return 2
     except ConsensusSpectraError as exc:
         sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
-        return 2
+        return 1 if isinstance(exc, (ParameterError, TopologyError)) else 2
 
 
 def main() -> None:

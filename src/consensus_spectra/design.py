@@ -42,7 +42,7 @@ from .spectral import (
     extremal_pair,
     full_spectrum,
 )
-from .topology import DEFAULT_DENSE_CAP, Kind, NetworkModel, validate
+from .topology import Kind, NetworkModel, validate
 
 ASSUMPTION_NOTES = (
     "r-nearest closed forms read the squared asymmetry coefficient as a**2",
@@ -108,15 +108,13 @@ def solve_h_pair(lambda_s, lambda_l) -> float:
 
 
 def design_pipeline(
-    model: NetworkModel,
-    source: SpectrumSource = SpectrumSource.CLOSED_FORM,
-    cap: int = DEFAULT_DENSE_CAP,
+    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> ConsensusDesign:
     """Canonical best-constant design: spectrum -> extremal pair -> h.
 
     This is the reference every closed-form entry is checked against.
     """
-    spectrum = full_spectrum(model, source=source, cap=cap)
+    spectrum = full_spectrum(model, source=source)
     pair = extremal_pair(spectrum)
     h = solve_h_pair(pair.lambda_s, pair.lambda_l)
     gamma = abs(1.0 - h * pair.lambda_s.value)
@@ -400,7 +398,7 @@ def _reconcile(printed: float, pipeline_rate: float, case: str) -> ReconciledRat
     return ReconciledRate(value=printed, tag=tag, pipeline_rate=pipeline_rate, case=case)
 
 
-def closed_form_R(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> ReconciledRate:
+def closed_form_R(model: NetworkModel) -> ReconciledRate:
     """Catalog rate value plus its reconciliation against the pipeline.
 
     The all-odd N-torus has no catalogued rate expression; its value is
@@ -427,20 +425,20 @@ def closed_form_R(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> Reconcil
             printed = _R_torusN_even(dims[0], len(dims), a)
         else:
             h = _h_torusN_odd(dims, a)
-            pair = extremal_pair(full_spectrum(model, cap=cap))
+            pair = extremal_pair(full_spectrum(model))
             printed = 1.0 - abs(1.0 - h * pair.lambda_s.value)
-    pipeline_rate = design_pipeline(model, cap=cap).rate
+    pipeline_rate = design_pipeline(model).rate
     return _reconcile(printed, pipeline_rate, case)
 
 
-def closed_design(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> ConsensusDesign:
+def closed_design(model: NetworkModel) -> ConsensusDesign:
     """Design built from the catalog h, measured on the slow mode.
 
     gamma is |1 - h*lambda_s| with the canonical extremal pair, so a
     deviating catalog entry shows up as a gamma unlike the pipeline's.
     """
     h = closed_form_h(model)
-    pair = extremal_pair(full_spectrum(model, cap=cap))
+    pair = extremal_pair(full_spectrum(model))
     gamma = abs(1.0 - h * pair.lambda_s.value)
     return ConsensusDesign(
         h=h, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.CLOSED_FORM, extremal=pair

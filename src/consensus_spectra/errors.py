@@ -14,7 +14,7 @@ class TopologyError(ConsensusSpectraError):
 
 
 class SizeError(ConsensusSpectraError):
-    """A dense or quadratic-cost operation would exceed the node cap."""
+    """A dense operation would exceed its node cap."""
 
 
 class DegenerateError(ConsensusSpectraError):

@@ -1,12 +1,11 @@
 """Complex Laplacian spectra for the regular network families.
 
-Three independent routes produce the same spectrum:
+Two independent routes produce the same spectrum:
 
 * closed trigonometric forms, one expression per family;
 * the discrete Fourier transform of the circulant first row (the
-  oracle route, kept free of any closed form);
-* Cartesian composition for tori, summing per-ring spectra over the
-  index grid.
+  oracle route, kept free of any closed form); a torus sums its
+  per-ring oracle spectra over the index grid.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index, and extremal selection scans for the smallest and
@@ -23,13 +22,13 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DegenerateError, SizeError, TopologyError
+from .errors import DegenerateError
 from .topology import (
-    DEFAULT_DENSE_CAP,
     CirculantRow,
     Kind,
     NetworkModel,
     circulant_row,
+    ring,
     validate,
 )
 
@@ -37,7 +36,6 @@ from .topology import (
 class SpectrumSource(enum.Enum):
     CLOSED_FORM = "ClosedForm"
     DFT_ORACLE = "DftOracle"
-    CARTESIAN_SUM = "CartesianSum"
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class ExtremalPair:
     lambda_l: ComplexEigenvalue
 
 
-def circulant_spectrum(row: CirculantRow, cap: int = DEFAULT_DENSE_CAP) -> Spectrum:
+def circulant_spectrum(row: CirculantRow) -> Spectrum:
     """Spectrum of a circulant matrix as the DFT of its first row.
 
     Eigenvalue j is sum over l of entries[l] * w**(l*j) with
@@ -108,8 +106,6 @@ def circulant_spectrum(row: CirculantRow, cap: int = DEFAULT_DENSE_CAP) -> Spect
     """
     entries = row.entries
     n = row.order
-    if n > cap:
-        raise SizeError(f"circulant oracle: n={n} exceeds cap {cap}")
     # numpy's ifft carries the positive exponent (and a 1/n factor), so
     # index j lands on w**(l*j); fft would give the conjugate at index -j
     values = n * np.fft.ifft(entries)
@@ -119,16 +115,14 @@ def circulant_spectrum(row: CirculantRow, cap: int = DEFAULT_DENSE_CAP) -> Spect
     return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
 
 
-def _closed_ring_values(n: int, a: float) -> np.ndarray:
-    j = np.arange(n)
+def _closed_ring_values(j: np.ndarray, n: int, a: float) -> np.ndarray:
     angle = 2.0 * np.pi * j / n
     return 1.0 - np.cos(angle) + 1j * a * np.sin(angle)
 
 
-def _closed_rnearest_values(n: int, r: int, a: float) -> np.ndarray:
-    j = np.arange(n)[:, None]
+def _closed_rnearest_values(j: np.ndarray, n: int, r: int, a: float) -> np.ndarray:
     k = np.arange(1, r + 1)[None, :]
-    angle = 2.0 * np.pi * j * k / n
+    angle = 2.0 * np.pi * j[:, None] * k / n
     return r - np.cos(angle).sum(axis=1) + 1j * a * np.sin(angle).sum(axis=1)
 
 
@@ -141,86 +135,61 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     return reduce(outer_sum, per_dim)
 
 
+def _closed_values_at(model: NetworkModel, per_dim: list[np.ndarray]) -> np.ndarray:
+    """Closed-form eigenvalues over the grid of per-dimension index arrays."""
+    if model.kind is Kind.RING:
+        return _closed_ring_values(per_dim[0], model.n, model.a)
+    if model.kind is Kind.R_NEAREST_RING:
+        return _closed_rnearest_values(per_dim[0], model.n, model.r, model.a)
+    return _compose_cartesian(
+        [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.dims)]
+    )
+
+
 def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
     """Single eigenvalue from the trigonometric closed form.
 
     ``index`` is an integer for the 1-D kinds or a tuple of per-
-    dimension indices for tori, each component in [0, k).
+    dimension indices for tori, each component in [0, k).  The value is
+    the one ``closed_values`` holds at that index, bit for bit.
     """
     validate(model)
-    if model.kind is Kind.TORUS:
-        idx = tuple(int(c) for c in index)
-        if len(idx) != len(model.dims):
-            raise IndexError(f"index {idx} has {len(idx)} components, model has {len(model.dims)}")
-        for c, k in zip(idx, model.dims):
-            if not 0 <= c < k:
-                raise IndexError(f"index component {c} outside [0, {k})")
-        angles = [2.0 * np.pi * c / k for c, k in zip(idx, model.dims)]
-        re = len(model.dims) - sum(np.cos(t) for t in angles)
-        im = model.a * sum(np.sin(t) for t in angles)
-        return ComplexEigenvalue(re=float(re), im=float(im), index=idx)
-
-    j = int(index[0]) if isinstance(index, (tuple, list)) else int(index)
-    if not 0 <= j < model.n:
-        raise IndexError(f"index {j} outside [0, {model.n})")
-    if model.kind is Kind.RING:
-        t = 2.0 * np.pi * j / model.n
-        return ComplexEigenvalue(
-            re=float(1.0 - np.cos(t)), im=float(model.a * np.sin(t)), index=(j,)
-        )
-    k = np.arange(1, model.r + 1)
-    angles = 2.0 * np.pi * j * k / model.n
-    return ComplexEigenvalue(
-        re=float(model.r - np.cos(angles).sum()),
-        im=float(model.a * np.sin(angles).sum()),
-        index=(j,),
-    )
+    idx = tuple(int(c) for c in index) if isinstance(index, (tuple, list)) else (int(index),)
+    if model.kind is not Kind.TORUS:
+        idx = idx[:1]
+    if len(idx) != len(model.shape):
+        raise IndexError(f"index {idx} has {len(idx)} components, model has {len(model.shape)}")
+    for c, k in zip(idx, model.shape):
+        if not 0 <= c < k:
+            raise IndexError(f"index component {c} outside [0, {k})")
+    v = _closed_values_at(model, [np.array([c]) for c in idx])[0]
+    return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=idx)
 
 
 def closed_values(model: NetworkModel) -> np.ndarray:
     """All eigenvalues from the closed forms, as a flat complex array."""
     validate(model)
-    if model.kind is Kind.RING:
-        return _closed_ring_values(model.n, model.a)
-    if model.kind is Kind.R_NEAREST_RING:
-        return _closed_rnearest_values(model.n, model.r, model.a)
-    per_dim = [_closed_ring_values(k, model.a) for k in model.dims]
-    return _compose_cartesian(per_dim)
+    return _closed_values_at(model, [np.arange(k) for k in model.shape])
 
 
 def full_spectrum(
-    model: NetworkModel,
-    source: SpectrumSource = SpectrumSource.CLOSED_FORM,
-    cap: int = DEFAULT_DENSE_CAP,
+    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> Spectrum:
     """Complete spectrum via the requested route.
 
     DFT_ORACLE transforms the circulant row for the 1-D kinds; for a
     torus it runs the per-dimension ring oracle and composes the sums,
     which stays independent of the trigonometric simplification.
-    CARTESIAN_SUM is that same composition and is only defined for tori.
     """
     validate(model)
     if source is SpectrumSource.CLOSED_FORM:
         return Spectrum(model=model, values=closed_values(model), source=source)
-
     if model.kind is Kind.TORUS:
-        if source is SpectrumSource.DFT_ORACLE or source is SpectrumSource.CARTESIAN_SUM:
-            per_dim = []
-            for k in model.dims:
-                ring_model = NetworkModel(kind=Kind.RING, a=model.a, n=k)
-                per_dim.append(circulant_spectrum(circulant_row(ring_model), cap=cap).values)
-            return Spectrum(
-                model=model,
-                values=_compose_cartesian(per_dim),
-                source=SpectrumSource.CARTESIAN_SUM,
-            )
-        raise TopologyError(f"unsupported source {source} for torus")
-
-    if source is SpectrumSource.CARTESIAN_SUM:
-        raise TopologyError("Cartesian composition is only defined for tori")
-    spec = circulant_spectrum(circulant_row(model), cap=cap)
-    return Spectrum(model=model, values=spec.values, source=SpectrumSource.DFT_ORACLE)
+        rings = [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.dims]
+        values = _compose_cartesian(rings)
+    else:
+        values = circulant_spectrum(circulant_row(model)).values
+    return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
 
 
 _RE_TIE_TOL = 1e-9

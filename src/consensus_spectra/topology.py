@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import re as _re
 from dataclasses import dataclass
 
@@ -38,6 +39,14 @@ class Kind(enum.Enum):
     TORUS = "torus"
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _as_int(v):
+    return int(v) if _is_int(v) else v
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Topology descriptor plus the asymmetric link factor.
@@ -51,6 +60,14 @@ class NetworkModel:
     n: int | None = None
     r: int | None = None
     dims: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        # sizes are stored as Python ints in a tuple, so numpy integers
+        # export like ints; other values are left for validate to reject
+        object.__setattr__(self, "n", _as_int(self.n))
+        object.__setattr__(self, "r", _as_int(self.r))
+        if self.dims is not None:
+            object.__setattr__(self, "dims", tuple(_as_int(k) for k in self.dims))
 
     @property
     def order(self) -> int:
@@ -85,7 +102,7 @@ def r_nearest_ring(n: int, r: int, a: float = 0.0) -> NetworkModel:
 
 
 def torus(dims, a: float = 0.0) -> NetworkModel:
-    return validate(NetworkModel(kind=Kind.TORUS, a=a, dims=tuple(dims)))
+    return validate(NetworkModel(kind=Kind.TORUS, a=a, dims=dims))
 
 
 def validate(model: NetworkModel) -> NetworkModel:
@@ -94,26 +111,26 @@ def validate(model: NetworkModel) -> NetworkModel:
     Raises ParameterError naming the violated constraint otherwise.
     """
     a = model.a
-    if not (isinstance(a, (int, float)) and math.isfinite(a)):
+    if isinstance(a, bool) or not (isinstance(a, (int, float)) and math.isfinite(a)):
         raise ParameterError(f"asymmetric factor a must be a finite real, got {a!r}")
     if not 0.0 <= a <= 1.0:
         raise ParameterError(f"asymmetric factor a={a} outside [0, 1]")
 
     if model.kind is Kind.RING:
         n = model.n
-        if not isinstance(n, int) or n < 3:
+        if not _is_int(n) or n < 3:
             raise ParameterError(f"ring needs integer n >= 3, got n={n}")
     elif model.kind is Kind.R_NEAREST_RING:
         n, r = model.n, model.r
-        if not isinstance(r, int) or r < 1:
+        if not _is_int(r) or r < 1:
             raise ParameterError(f"r-nearest ring needs integer r >= 1, got r={r}")
-        if isinstance(n, int) and n == 2 * r + 1:
+        if _is_int(n) and n == 2 * r + 1:
             raise ParameterError(
                 f"n = 2r + 1 = {n} makes every node adjacent to every other "
                 f"(a complete graph); model it densely and use the generic "
                 f"pipeline instead"
             )
-        if not isinstance(n, int) or n < 2 * r + 2:
+        if not _is_int(n) or n < 2 * r + 2:
             raise ParameterError(
                 f"r-nearest ring needs n >= 2r + 2 = {2 * r + 2} so the two "
                 f"neighbor arcs stay disjoint, got n={n}"
@@ -123,8 +140,8 @@ def validate(model: NetworkModel) -> NetworkModel:
         if dims is None or len(dims) < 2:
             raise ParameterError(f"torus needs at least 2 dimensions, got dims={dims}")
         for i, k in enumerate(dims):
-            if not isinstance(k, int) or k < 3:
-                raise ParameterError(f"torus needs every k_i >= 3, got k_{i + 1}={k}")
+            if not _is_int(k) or k < 3:
+                raise ParameterError(f"torus needs every k_i an integer >= 3, got k_{i + 1}={k}")
     else:
         raise ParameterError(f"unknown kind {model.kind!r}")
     return model
@@ -182,14 +199,6 @@ def circulant_row(model: NetworkModel) -> CirculantRow:
     return CirculantRow(entries=row)
 
 
-def _ring_row(k: int, a: float) -> np.ndarray:
-    row = np.zeros(k)
-    row[0] = 1.0
-    row[1] = (-1.0 + a) / 2.0
-    row[k - 1] = (-1.0 - a) / 2.0
-    return row
-
-
 def _circulant_matrix(row: np.ndarray) -> np.ndarray:
     n = len(row)
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
@@ -211,7 +220,7 @@ def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> DenseL
     if model.kind is Kind.TORUS:
         mat = np.zeros((1, 1))
         for k in model.dims:
-            ring_lap = _circulant_matrix(_ring_row(k, model.a))
+            ring_lap = _circulant_matrix(circulant_row(ring(k, model.a)).entries)
             mat = np.kron(mat, np.eye(k)) + np.kron(np.eye(mat.shape[0]), ring_lap)
         return DenseLaplacian(order=order, values=mat)
     row = circulant_row(model)

@@ -54,13 +54,6 @@ class TestSweep:
         for rp, rm in zip(rows_p, rows_m):
             assert rm.gamma == pytest.approx(rp.gamma, abs=1e-8)
 
-    def test_thread_cap_preserves_order_and_values(self, monkeypatch):
-        grid = {"n": [4, 6, 8, 10], "a": [0.0, 0.2, 0.4]}
-        sequential = rows_to_csv(sweep(ring(4, 0.0), grid))
-        monkeypatch.setenv("CONSENSUS_SPECTRA_THREADS", "4")
-        threaded = rows_to_csv(sweep(ring(4, 0.0), grid))
-        assert threaded == sequential
-
 
 class TestAbsoluteErrorCurve:
     def test_ring4_value(self):

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from consensus_spectra import parse_model
+from consensus_spectra import closed_values, parse_model
 from consensus_spectra.cli import run
 
 
@@ -66,19 +67,15 @@ class TestSpectrumCommand:
         assert code == 0
         assert len(json.loads(out)) == 5
 
-    def test_dense_cap_exit_2(self, capsys):
-        code, _, err = invoke(
-            capsys,
-            "spectrum",
-            "--model",
-            "ring:n=64,a=0",
-            "--source",
-            "dft",
-            "--dense-cap",
-            "32",
+    def test_oracle_above_dense_cap(self, capsys):
+        # the O(n log n) oracle has no cap: 20000 nodes, twice the dense one
+        model = parse_model("ring:n=20000,a=0.3")
+        code, out, _ = invoke(
+            capsys, "spectrum", "--model", "ring:n=20000,a=0.3", "--source", "dft", "--format", "json"
         )
-        assert code == 2
-        assert "SizeError" in err
+        assert code == 0
+        got = np.array([complex(rec["re"], rec["im"]) for rec in json.loads(out)])
+        assert np.max(np.abs(got - closed_values(model))) <= 1e-9
 
 
 class TestValidationErrors:
@@ -90,6 +87,26 @@ class TestValidationErrors:
     def test_unknown_kind_exit_1(self, capsys):
         code, _, err = invoke(capsys, "spectrum", "--model", "mesh:n=4,a=0")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "--model", "ring:n=4,a=0", "--method", "bogus"),
+            ("design", "--format", "json"),
+            ("spectrum", "--model", "ring:n=4,a=0", "--source", "cartesian"),
+            ("design", "--model", "ring:n=4,a=0", "--dense-cap", "32"),
+        ],
+        ids=["bad-choice", "missing-model", "removed-source", "removed-flag"],
+    )
+    def test_usage_error_exit_1(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "usage:" in err
+
+    def test_help_exit_0(self, capsys):
+        code, out, _ = invoke(capsys, "design", "--help")
+        assert code == 0
+        assert "--method" in out
 
 
 class TestSimulateAndVerify:
@@ -108,6 +125,14 @@ class TestSimulateAndVerify:
         lines = out.strip().split("\n")
         assert lines[0] == "step;error_norm;average"
         assert len(lines) >= 10
+
+    def test_simulate_above_dense_cap(self, capsys):
+        # the structured step is O(n), so no cap applies to it
+        code, out, _ = invoke(
+            capsys, "simulate", "--model", "ring:n=20000,a=0.3", "--steps", "3", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out)["steps"] == 3
 
     def test_simulate_json_summary(self, capsys):
         code, out, _ = invoke(

@@ -62,6 +62,14 @@ def _apply_models():
     return models
 
 
+def _window_models():
+    return [
+        r_nearest_ring(n, r, a)
+        for n, r in ((14, 1), (14, 6), (64, 5), (400, 150))
+        for a in (0.0, 0.37, 1.0)
+    ]
+
+
 class TestStructuredApply:
     @pytest.mark.parametrize("model", _apply_models(), ids=format_model)
     def test_matches_dense_laplacian(self, model):
@@ -71,6 +79,17 @@ class TestStructuredApply:
         got = _structured_apply_L(model)(x)
         expected = dense_laplacian(model).values @ x
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("model", _window_models(), ids=format_model)
+    def test_rnearest_window_uses_deviation(self, model):
+        # the window sums must run over x - mean(x): prefix sums of the
+        # raw 1e6 offset lose about 1e-9 per entry, far above a
+        # tolerance scaled by the deviation norm
+        x = 1e6 + uniform_vector(5, model.order)
+        d = x - x.mean()
+        got = _structured_apply_L(model)(x)
+        expected = dense_laplacian(model).values @ d
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(d)
 
 
 class TestRunConsensus:
@@ -122,8 +141,11 @@ class TestRunConsensus:
             run_consensus(ring(4, 0.0), 0.5, [1.0, 2.0], 10, 1e-9)
 
     def test_cap(self):
+        # only the dense path materializes L, so only it is capped
         with pytest.raises(SizeError):
-            run_consensus(ring(64, 0.0), 0.5, np.zeros(64), 10, 1e-9, cap=32)
+            run_consensus(ring(64, 0.0), 0.5, np.zeros(64), 10, 1e-9, dense=True, cap=32)
+        trace = run_consensus(ring(64, 0.0), 0.5, uniform_vector(1, 64), 3, 1e-300, cap=32)
+        assert trace.steps == 3
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=4, max_value=40))
     @settings(max_examples=25, deadline=None)

@@ -10,10 +10,13 @@ from consensus_spectra import (
     TopologyError,
     circulant_row,
     dense_laplacian,
+    design_pipeline,
     format_model,
     parse_model,
     r_nearest_ring,
     ring,
+    rows_to_jsonl,
+    sweep,
     torus,
     validate,
 )
@@ -51,6 +54,46 @@ class TestValidate:
 
     def test_one_directional_ring_allowed(self):
         assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ring(4, True),
+            lambda: ring(True),
+            lambda: r_nearest_ring(14, True),
+            lambda: r_nearest_ring(14, 3, False),
+            lambda: torus((3, True)),
+            lambda: validate(NetworkModel(Kind.RING, a=0.0, n=np.bool_(True))),
+        ],
+        ids=["ring-a", "ring-n", "rnearest-r", "rnearest-a", "torus-side", "numpy-bool-n"],
+    )
+    def test_bool_rejected(self, build):
+        with pytest.raises(ParameterError):
+            build()
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda i: ring(i(8), 0.3),
+            lambda i: r_nearest_ring(i(14), i(3), 0.3),
+            lambda i: torus((i(4), i(6)), 0.3),
+        ],
+        ids=["ring", "rnearest", "torus"],
+    )
+    def test_numpy_integers_design_like_python_ints(self, build, int_type):
+        model = build(int_type)
+        reference = build(int)
+        assert model == reference
+        assert design_pipeline(model) == design_pipeline(reference)
+        # sizes are stored as Python ints, so rows serialize to JSON
+        assert rows_to_jsonl(sweep(model, {"a": [0.5]})) == rows_to_jsonl(sweep(reference, {"a": [0.5]}))
+
+    @pytest.mark.parametrize("int_type", [np.int64, np.uint8])
+    def test_validate_accepts_numpy_integers(self, int_type):
+        model = NetworkModel(Kind.R_NEAREST_RING, a=0.5, n=int_type(14), r=int_type(3))
+        assert validate(model) is model
+        assert type(model.n) is int and type(model.r) is int
 
 
 class TestCirculantRow:
