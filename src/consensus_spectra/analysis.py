@@ -27,10 +27,9 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .design import closed_design, design_pipeline, minimax_h
+from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .spectral import full_spectrum
-from .topology import Kind, NetworkModel, ring, torus
+from .topology import Kind, NetworkModel, r_nearest_ring, ring, torus
 
 
 @dataclass(frozen=True)
@@ -54,16 +53,6 @@ class SweepRow:
         return d
 
 
-def _design_for(model: NetworkModel, method: str):
-    if method == "pipeline":
-        return design_pipeline(model)
-    if method == "closed":
-        return closed_design(model)
-    if method == "minimax":
-        return minimax_h(full_spectrum(model))
-    raise ValueError(f"unknown method {method!r}; expected pipeline, closed or minimax")
-
-
 def _evaluate_point(model: NetworkModel, method: str) -> SweepRow:
     base = {
         "kind": model.kind.value,
@@ -74,7 +63,7 @@ def _evaluate_point(model: NetworkModel, method: str) -> SweepRow:
         "method": method,
     }
     try:
-        design = _design_for(model, method)
+        design = DESIGN_METHODS[method](model)
         symmetric = dataclasses.replace(model, a=0.0)
         rate_sym = design_pipeline(symmetric).rate
         return SweepRow(
@@ -98,6 +87,8 @@ def _evaluate_point(model: NetworkModel, method: str) -> SweepRow:
 
 
 def _evaluate_grid(models: list[NetworkModel], method: str) -> list[SweepRow]:
+    if method not in DESIGN_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
     return [_evaluate_point(m, method) for m in models]
 
 
@@ -122,13 +113,8 @@ def absolute_error_curve(kind: Kind, sizes, a: float, method: str = "pipeline") 
     """Rows over ``sizes`` with the symmetric-minus-asymmetric rate gap."""
     if not 0.0 < a <= 1.0:
         raise ValueError(f"absolute error curve needs a in (0, 1], got {a}")
-    models = []
-    for size in sizes:
-        if kind is Kind.TORUS:
-            models.append(NetworkModel(kind=kind, a=a, dims=size))
-        else:
-            models.append(NetworkModel(kind=kind, a=a, n=int(size)))
-    return _evaluate_grid(models, method)
+    size_field = "dims" if kind is Kind.TORUS else "n"
+    return sweep(NetworkModel(kind=kind, a=a), {size_field: sizes}, method=method)
 
 
 @dataclass(frozen=True)
@@ -146,73 +132,57 @@ class FigureDataset:
 FIG5_RADII = (8, 32, 100, 150)
 FIG6_SIDES = (11, 15, 21, 25, 27)
 
+# figure id -> (label, grid text, template, varying), each run by sweep;
+# figure 6 mixes a ring with tori and is built in figure_dataset
+_FIGURES = {
+    3: (
+        "ring_rates",
+        "ring n=4..40 even, a in {0, 0.3, 0.6, 0.9}",
+        ring(4),
+        {"n": range(4, 41, 2), "a": (0.0, 0.3, 0.6, 0.9)},
+    ),
+    4: (
+        "torus_odd",
+        "torus k1,k2 in 5..21 odd, a=0.3",
+        torus((5, 5), 0.3),
+        {"dims": list(product(range(5, 22, 2), repeat=2))},
+    ),
+    5: (
+        "n400",
+        f"r-nearest n=400, r in {FIG5_RADII}, a=0..1 step 0.05",
+        r_nearest_ring(400, FIG5_RADII[0]),
+        {"r": FIG5_RADII, "a": [round(0.05 * i, 2) for i in range(21)]},
+    ),
+    7: (
+        "abs_error",
+        "ring n=4..64 even, a in {0.3, 0.9}",
+        ring(4),
+        {"a": (0.3, 0.9), "n": range(4, 65, 2)},
+    ),
+}
+
 
 def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
     """Full dataset behind one of the standard figures (3 to 7)."""
-    if figure_id == 3:
-        grid = {"n": list(range(4, 41, 2)), "a": [0.0, 0.3, 0.6, 0.9]}
-        rows = sweep(ring(4), grid, method=method)
-        return FigureDataset(
-            3,
-            "ring_rates",
-            rows,
-            {"grid": "ring n=4..40 even, a in {0, 0.3, 0.6, 0.9}", "method": method},
-        )
-    if figure_id == 4:
-        sides = list(range(5, 22, 2))
-        models = [torus((k1, k2), 0.3) for k1 in sides for k2 in sides]
+    if figure_id == 6:
+        label, grid = "dimension", f"prefixes of sides {FIG6_SIDES}, m=1..5, a=0.3"
+        models = [ring(FIG6_SIDES[0], 0.3)]
+        models += [torus(FIG6_SIDES[:m], 0.3) for m in range(2, len(FIG6_SIDES) + 1)]
         rows = _evaluate_grid(models, method)
-        return FigureDataset(
-            4,
-            "torus_odd",
-            rows,
-            {"grid": "torus k1,k2 in 5..21 odd, a=0.3", "method": method},
-        )
+    elif figure_id in _FIGURES:
+        label, grid, template, varying = _FIGURES[figure_id]
+        rows = sweep(template, varying, method=method)
+    else:
+        raise ValueError(f"unknown figure id {figure_id}; expected 3..7")
+    metadata = {"grid": grid, "method": method}
     if figure_id == 5:
-        a_values = [round(0.05 * i, 2) for i in range(21)]
-        models = [
-            NetworkModel(Kind.R_NEAREST_RING, n=400, r=r, a=a)
-            for r in FIG5_RADII
-            for a in a_values
-        ]
-        rows = _evaluate_grid(models, method)
         # per radius, the last grid point where the rate is still above 1%
         visible = {}
         for row in rows:
             if row.rate > 0.01:
                 visible[row.r] = max(row.a, visible.get(row.r, 0.0))
-        return FigureDataset(
-            5,
-            "n400",
-            rows,
-            {
-                "grid": f"r-nearest n=400, r in {FIG5_RADII}, a=0..1 step 0.05",
-                "method": method,
-                "largest_a_with_rate_above_0.01": visible,
-            },
-        )
-    if figure_id == 6:
-        models = [ring(FIG6_SIDES[0], 0.3)]
-        for m in range(2, len(FIG6_SIDES) + 1):
-            models.append(torus(FIG6_SIDES[:m], 0.3))
-        rows = _evaluate_grid(models, method)
-        return FigureDataset(
-            6,
-            "dimension",
-            rows,
-            {"grid": f"prefixes of sides {FIG6_SIDES}, m=1..5, a=0.3", "method": method},
-        )
-    if figure_id == 7:
-        rows = []
-        for a in (0.3, 0.9):
-            rows.extend(absolute_error_curve(Kind.RING, range(4, 65, 2), a, method=method))
-        return FigureDataset(
-            7,
-            "abs_error",
-            rows,
-            {"grid": "ring n=4..64 even, a in {0.3, 0.9}", "method": method},
-        )
-    raise ValueError(f"unknown figure id {figure_id}; expected 3..7")
+        metadata["largest_a_with_rate_above_0.01"] = visible
+    return FigureDataset(figure_id, label, rows, metadata)
 
 
 # --- serialization ------------------------------------------------------------

@@ -40,6 +40,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _emit_rows(rows, args) -> None:
+    to_text = analysis.rows_to_csv if args.format == "csv" else analysis.rows_to_jsonl
+    _emit(to_text(rows), args.out)
+
+
 def _cmd_spectrum(args) -> int:
     model = topology.parse_model(args.model)
     spectrum = spectral.full_spectrum(model, source=_SOURCES[args.source])
@@ -52,12 +57,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_design(args) -> int:
     model = topology.parse_model(args.model)
-    if args.method == "pipeline":
-        result = design_mod.design_pipeline(model)
-    elif args.method == "minimax":
-        result = design_mod.minimax_h(spectral.full_spectrum(model))
-    else:
-        result = design_mod.closed_design(model)
+    result = design_mod.DESIGN_METHODS[args.method](model)
     try:
         reconciliation = design_mod.closed_form_R(model)
     except (UnsupportedParityError, DegenerateError):
@@ -142,11 +142,7 @@ def _parse_vary(specs: list[str]) -> dict:
 def _cmd_sweep(args) -> int:
     template = topology.parse_model(args.model)
     varying = _parse_vary(args.vary or [])
-    rows = analysis.sweep(template, varying, method=args.method)
-    if args.format == "csv":
-        _emit(analysis.rows_to_csv(rows), args.out)
-    else:
-        _emit(analysis.rows_to_jsonl(rows), args.out)
+    _emit_rows(analysis.sweep(template, varying, method=args.method), args)
     return 0
 
 
@@ -156,10 +152,7 @@ def _cmd_figure(args) -> int:
         path = analysis.write_figure(dataset, args.out)
         sys.stdout.write(f"{path}\n")
         return 0
-    if args.format == "csv":
-        _emit(analysis.rows_to_csv(dataset.rows), args.out)
-    else:
-        _emit(analysis.rows_to_jsonl(dataset.rows), args.out)
+    _emit_rows(dataset.rows, args)
     return 0
 
 
@@ -170,6 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "on asymmetric ring, r-nearest ring and torus networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = tuple(design_mod.DESIGN_METHODS)
 
     def common(p, model_required=True):
         if model_required:
@@ -184,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="best-constant h, gamma and rate")
     common(p)
-    p.add_argument("--method", choices=("pipeline", "closed", "minimax"), default="pipeline")
+    p.add_argument("--method", choices=methods, default="pipeline")
     p.set_defaults(func=_cmd_design, default_format="json")
 
     p = sub.add_parser("simulate", help="run the consensus iteration")
@@ -204,13 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a parameter grid")
     common(p)
     p.add_argument("--vary", action="append", help="n=4,8,16 or a=0:1:0.1 (repeatable)")
-    p.add_argument("--method", choices=("pipeline", "closed", "minimax"), default="pipeline")
+    p.add_argument("--method", choices=methods, default="pipeline")
     p.set_defaults(func=_cmd_sweep, default_format="csv")
 
     p = sub.add_parser("figure", help="regenerate a standard figure dataset")
     common(p, model_required=False)
     p.add_argument("--id", type=int, required=True, choices=(3, 4, 5, 6, 7))
-    p.add_argument("--method", choices=("pipeline", "closed", "minimax"), default="pipeline")
+    p.add_argument("--method", choices=methods, default="pipeline")
     p.set_defaults(func=_cmd_figure, default_format="csv")
 
     return parser

@@ -107,6 +107,12 @@ def solve_h_pair(lambda_s, lambda_l) -> float:
     return 2.0 * (ll.real - ls.real) / den
 
 
+def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> ConsensusDesign:
+    """Design with gamma = |1 - h*lambda_s| measured on the pair's slow mode."""
+    gamma = abs(1.0 - h * pair.lambda_s.value)
+    return ConsensusDesign(h=h, gamma=gamma, rate=1.0 - gamma, method=method, extremal=pair)
+
+
 def design_pipeline(
     model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> ConsensusDesign:
@@ -116,11 +122,7 @@ def design_pipeline(
     """
     spectrum = full_spectrum(model, source=source)
     pair = extremal_pair(spectrum)
-    h = solve_h_pair(pair.lambda_s, pair.lambda_l)
-    gamma = abs(1.0 - h * pair.lambda_s.value)
-    return ConsensusDesign(
-        h=h, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.PAIR_SOLVE, extremal=pair
-    )
+    return _on_slow_mode(solve_h_pair(pair.lambda_s, pair.lambda_l), pair, DesignMethod.PAIR_SOLVE)
 
 
 # --- closed-form catalog ------------------------------------------------------
@@ -137,19 +139,15 @@ def design_pipeline(
 
 def formula_case(model: NetworkModel) -> str:
     validate(model)
-    if model.kind is Kind.RING:
-        return "ring-even" if model.n % 2 == 0 else "ring-odd"
-    if model.kind is Kind.R_NEAREST_RING:
-        return "rnearest-even" if model.n % 2 == 0 else "rnearest-odd"
-    parities = {k % 2 for k in model.dims}
+    parities = {k % 2 for k in model.shape}
     if len(parities) > 1:
         raise UnsupportedParityError(
             f"no closed form for mixed-parity torus dims {model.dims}; use design_pipeline"
         )
-    even = parities.pop() == 0
-    if len(model.dims) == 2:
-        return "torus2-even" if even else "torus2-odd"
-    return "torusN-even" if even else "torusN-odd"
+    family = model.kind.value  # "ring" or "rnearest"
+    if model.kind is Kind.TORUS:
+        family = "torus2" if len(model.dims) == 2 else "torusN"
+    return f"{family}-{'even' if parities.pop() == 0 else 'odd'}"
 
 
 def _h_ring_even(n: int, a: float) -> float:
@@ -238,38 +236,6 @@ def _h_rnearest_odd(n: int, r: int, a: float) -> float:
     if den == 0.0:
         return math.nan if num == 0.0 else math.copysign(math.inf, num)
     return num / den
-
-
-def _torus_dims_for_formulas(model: NetworkModel) -> tuple[int, ...]:
-    """Largest side first, so it carries the slow eigenvalue index."""
-    return tuple(sorted(model.dims, reverse=True))
-
-
-def closed_form_h(model: NetworkModel) -> float:
-    """Catalog consensus parameter for the model's parity case.
-
-    Values are the catalog entries verbatim; no case is patched to agree
-    with the pipeline.  Raises UnsupportedParityError for mixed-parity
-    tori.
-    """
-    case = formula_case(model)
-    a = model.a
-    if case == "ring-even":
-        return _h_ring_even(model.n, a)
-    if case == "ring-odd":
-        return _h_ring_odd(model.n, a)
-    if case == "rnearest-even":
-        return _h_rnearest_even(model.n, model.r, a)
-    if case == "rnearest-odd":
-        return _h_rnearest_odd(model.n, model.r, a)
-    dims = _torus_dims_for_formulas(model)
-    if case == "torus2-even":
-        return _h_torus2_even(dims[0], a)
-    if case == "torus2-odd":
-        return _h_torus2_odd(dims[1], dims[0], a)
-    if case == "torusN-even":
-        return _h_torusN_even(dims[0], len(dims), a)
-    return _h_torusN_odd(dims, a)
 
 
 def _R_ring_even(n: int, a: float) -> float:
@@ -383,6 +349,40 @@ def _R_rnearest_odd(n: int, r: int, a: float) -> float:
         return float(1 - np.sqrt(inner))
 
 
+# case id -> (h entry, R entry, the entries' arguments).  The arguments
+# are built from the model and its sides largest first (the largest side
+# carries the slow eigenvalue index); the all-odd N-torus has no
+# catalogued rate entry.
+_CATALOG = {
+    "ring-even": (_h_ring_even, _R_ring_even, lambda m, k: (m.n, m.a)),
+    "ring-odd": (_h_ring_odd, _R_ring_odd, lambda m, k: (m.n, m.a)),
+    "rnearest-even": (_h_rnearest_even, _R_rnearest_even, lambda m, k: (m.n, m.r, m.a)),
+    "rnearest-odd": (_h_rnearest_odd, _R_rnearest_odd, lambda m, k: (m.n, m.r, m.a)),
+    "torus2-even": (_h_torus2_even, _R_torus2_even, lambda m, k: (k[0], m.a)),
+    "torus2-odd": (_h_torus2_odd, _R_torus2_odd, lambda m, k: (k[1], k[0], m.a)),
+    "torusN-even": (_h_torusN_even, _R_torusN_even, lambda m, k: (k[0], len(k), m.a)),
+    "torusN-odd": (_h_torusN_odd, None, lambda m, k: (k, m.a)),
+}
+
+
+def _catalog_entry(model: NetworkModel):
+    """(case, h entry, R entry, arguments) for the model's parity case."""
+    case = formula_case(model)
+    h_entry, R_entry, arguments = _CATALOG[case]
+    return case, h_entry, R_entry, arguments(model, tuple(sorted(model.shape, reverse=True)))
+
+
+def closed_form_h(model: NetworkModel) -> float:
+    """Catalog consensus parameter for the model's parity case.
+
+    Values are the catalog entries verbatim; no case is patched to agree
+    with the pipeline.  Raises UnsupportedParityError for mixed-parity
+    tori.
+    """
+    _, h_entry, _, args = _catalog_entry(model)
+    return h_entry(*args)
+
+
 _RECONCILE_TOL = 1e-9
 
 
@@ -405,30 +405,12 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     derived numerically from the all-odd consensus parameter and the
     slow eigenvalue, and reconciled like every other case.
     """
-    case = formula_case(model)
-    a = model.a
-    if case == "ring-even":
-        printed = _R_ring_even(model.n, a)
-    elif case == "ring-odd":
-        printed = _R_ring_odd(model.n, a)
-    elif case == "rnearest-even":
-        printed = _R_rnearest_even(model.n, model.r, a)
-    elif case == "rnearest-odd":
-        printed = _R_rnearest_odd(model.n, model.r, a)
-    else:
-        dims = _torus_dims_for_formulas(model)
-        if case == "torus2-even":
-            printed = _R_torus2_even(dims[0], a)
-        elif case == "torus2-odd":
-            printed = _R_torus2_odd(dims[1], dims[0], a)
-        elif case == "torusN-even":
-            printed = _R_torusN_even(dims[0], len(dims), a)
-        else:
-            h = _h_torusN_odd(dims, a)
-            pair = extremal_pair(full_spectrum(model))
-            printed = 1.0 - abs(1.0 - h * pair.lambda_s.value)
-    pipeline_rate = design_pipeline(model).rate
-    return _reconcile(printed, pipeline_rate, case)
+    case, h_entry, R_entry, args = _catalog_entry(model)
+    printed = R_entry(*args) if R_entry else None
+    pipeline = design_pipeline(model)
+    if R_entry is None:
+        printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
+    return _reconcile(printed, pipeline.rate, case)
 
 
 def closed_design(model: NetworkModel) -> ConsensusDesign:
@@ -438,11 +420,7 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     deviating catalog entry shows up as a gamma unlike the pipeline's.
     """
     h = closed_form_h(model)
-    pair = extremal_pair(full_spectrum(model))
-    gamma = abs(1.0 - h * pair.lambda_s.value)
-    return ConsensusDesign(
-        h=h, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.CLOSED_FORM, extremal=pair
-    )
+    return _on_slow_mode(h, extremal_pair(full_spectrum(model)), DesignMethod.CLOSED_FORM)
 
 
 def minimax_h(
@@ -487,6 +465,15 @@ def minimax_h(
     return ConsensusDesign(
         h=h_star, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.MINIMAX, extremal=pair
     )
+
+
+# design method name -> model -> design; the names sweeps, figures and
+# the CLI accept
+DESIGN_METHODS = {
+    "pipeline": design_pipeline,
+    "closed": closed_design,
+    "minimax": lambda model: minimax_h(full_spectrum(model)),
+}
 
 
 def design_export_dict(

@@ -3,9 +3,10 @@
 The iteration preserves the mean of the state vector (column sums of L
 are zero), so the error norm tracked here is the Euclidean distance to
 the uniform vector at the initial average.  Per-step multiplication
-either materializes the dense Laplacian or exploits structure (cyclic
-shifts for the ring, two circular window sums for the r-nearest ring,
-per-axis shifts on the torus grid); both produce identical traces.
+either materializes the dense Laplacian or exploits structure (two
+circular window sums for the r-nearest ring, per-axis cyclic shifts on
+the torus grid, of which the ring is the one-axis case); both produce
+identical traces.
 
 Initial vectors for the verification harness come from an explicit
 splitmix-style 64-bit generator, evaluated for the whole vector at once
@@ -89,12 +90,6 @@ def _structured_apply_L(model: NetworkModel):
     a = model.a
     fw = (-1.0 + a) / 2.0
     bw = (-1.0 - a) / 2.0
-    if model.kind is Kind.RING:
-
-        def apply(x):
-            return x + fw * np.roll(x, -1) + bw * np.roll(x, 1)
-
-        return apply
     if model.kind is Kind.R_NEAREST_RING:
         r = model.r
         n = model.n
@@ -111,12 +106,14 @@ def _structured_apply_L(model: NetworkModel):
             return float(r) * d + fw * ahead + bw * behind
 
         return apply
-    dims = model.dims
+    # a ring is the 1-torus: one axis, degree weight 1
+    shape = model.shape
+    degree = model.degree_weight
 
     def apply(x):
-        grid = x.reshape(dims)
-        acc = float(len(dims)) * grid
-        for axis in range(len(dims)):
+        grid = x.reshape(shape)
+        acc = degree * grid
+        for axis in range(len(shape)):
             acc = acc + fw * np.roll(grid, -1, axis=axis) + bw * np.roll(grid, 1, axis=axis)
         return acc.ravel()
 

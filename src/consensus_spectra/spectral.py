@@ -136,13 +136,12 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
 
 
 def _closed_values_at(model: NetworkModel, per_dim: list[np.ndarray]) -> np.ndarray:
-    """Closed-form eigenvalues over the grid of per-dimension index arrays."""
-    if model.kind is Kind.RING:
-        return _closed_ring_values(per_dim[0], model.n, model.a)
+    """Closed-form eigenvalues over the grid of per-dimension index arrays
+    (a ring is the 1-torus: its single array passes through unchanged)."""
     if model.kind is Kind.R_NEAREST_RING:
         return _closed_rnearest_values(per_dim[0], model.n, model.r, model.a)
     return _compose_cartesian(
-        [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.dims)]
+        [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.shape)]
     )
 
 
@@ -155,8 +154,6 @@ def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
     """
     validate(model)
     idx = tuple(int(c) for c in index) if isinstance(index, (tuple, list)) else (int(index),)
-    if model.kind is not Kind.TORUS:
-        idx = idx[:1]
     if len(idx) != len(model.shape):
         raise IndexError(f"index {idx} has {len(idx)} components, model has {len(model.shape)}")
     for c, k in zip(idx, model.shape):
@@ -177,18 +174,18 @@ def full_spectrum(
 ) -> Spectrum:
     """Complete spectrum via the requested route.
 
-    DFT_ORACLE transforms the circulant row for the 1-D kinds; for a
-    torus it runs the per-dimension ring oracle and composes the sums,
+    DFT_ORACLE transforms the circulant row of an r-nearest ring; a torus
+    (the ring is the 1-torus) composes its per-dimension ring oracles,
     which stays independent of the trigonometric simplification.
     """
     validate(model)
     if source is SpectrumSource.CLOSED_FORM:
         return Spectrum(model=model, values=closed_values(model), source=source)
-    if model.kind is Kind.TORUS:
-        rings = [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.dims]
-        values = _compose_cartesian(rings)
-    else:
+    if model.kind is Kind.R_NEAREST_RING:
         values = circulant_spectrum(circulant_row(model)).values
+    else:
+        rings = [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.shape]
+        values = _compose_cartesian(rings)
     return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
 
 

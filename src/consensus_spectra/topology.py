@@ -2,8 +2,9 @@
 
 Four regular families are supported: the ring, the r-nearest-neighbor
 ring, the 2-D torus and the m-dimensional torus (the torus kind covers
-every m >= 2; the ring is kept as its own kind because the 1-D case is
-treated separately throughout).
+every m >= 2).  The ring stays a kind of its own for the model grammar
+and the closed-form catalog, but every kernel treats it as the 1-torus:
+its ``shape`` is (n,) and its degree weight is m = 1.
 
 Links are directional: the forward neighbor of a node is weighted
 (1 - a) / 2 and the backward neighbor (1 + a) / 2, where a in [0, 1] is
@@ -72,18 +73,14 @@ class NetworkModel:
     @property
     def order(self) -> int:
         """Total node count."""
-        if self.kind is Kind.TORUS:
-            return math.prod(self.dims)
-        return self.n
+        return math.prod(self.shape)
 
     @property
     def degree_weight(self) -> float:
-        """Diagonal Laplacian entry: 1 (ring), r (r-nearest), m (torus)."""
-        if self.kind is Kind.RING:
-            return 1.0
+        """Diagonal Laplacian entry: r (r-nearest), m (torus, ring m = 1)."""
         if self.kind is Kind.R_NEAREST_RING:
             return float(self.r)
-        return float(len(self.dims))
+        return float(len(self.shape))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -103,6 +100,9 @@ def r_nearest_ring(n: int, r: int, a: float = 0.0) -> NetworkModel:
 
 def torus(dims, a: float = 0.0) -> NetworkModel:
     return validate(NetworkModel(kind=Kind.TORUS, a=a, dims=dims))
+
+
+_SIZE_FIELDS = {Kind.RING: ("n",), Kind.R_NEAREST_RING: ("n", "r"), Kind.TORUS: ("dims",)}
 
 
 def validate(model: NetworkModel) -> NetworkModel:
@@ -144,6 +144,10 @@ def validate(model: NetworkModel) -> NetworkModel:
                 raise ParameterError(f"torus needs every k_i an integer >= 3, got k_{i + 1}={k}")
     else:
         raise ParameterError(f"unknown kind {model.kind!r}")
+    for field in ("n", "r", "dims"):
+        value = getattr(model, field)
+        if value is not None and field not in _SIZE_FIELDS[model.kind]:
+            raise ParameterError(f"{model.kind.value} takes no {field}, got {field}={value}")
     return model
 
 
@@ -186,16 +190,11 @@ def circulant_row(model: NetworkModel) -> CirculantRow:
     if model.kind is Kind.TORUS:
         raise TopologyError("a torus is not a single circulant; use dense_laplacian")
     n, a = model.n, model.a
+    r = 1 if model.kind is Kind.RING else model.r  # a ring is the r = 1 row
     row = np.zeros(n)
-    if model.kind is Kind.RING:
-        row[0] = 1.0
-        row[1] = (-1.0 + a) / 2.0
-        row[n - 1] = (-1.0 - a) / 2.0
-    else:
-        r = model.r
-        row[0] = float(r)
-        row[1 : r + 1] = (-1.0 + a) / 2.0
-        row[n - r : n] = (-1.0 - a) / 2.0
+    row[0] = float(r)
+    row[1 : r + 1] = (-1.0 + a) / 2.0
+    row[n - r : n] = (-1.0 - a) / 2.0
     return CirculantRow(entries=row)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from consensus_spectra import (
     write_figure,
 )
 from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES
+
+REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 
 class TestSweep:
@@ -43,6 +46,10 @@ class TestSweep:
         assert math.isnan(rows[0].rate)
         assert rows[1].error == ""
         assert rows[1].rate == pytest.approx(2 / 3)
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            sweep(ring(4, 0.5), {"n": [4]}, method="newton")
 
     def test_grid_order_is_row_major(self):
         rows = sweep(ring(4, 0.0), {"n": [4, 6], "a": [0.0, 0.5]})
@@ -124,6 +131,12 @@ class TestFigureDatasets:
         first = rows_to_csv(figure_dataset(5).rows)
         second = rows_to_csv(figure_dataset(5).rows)
         assert first == second
+
+    @pytest.mark.parametrize("figure_id", [3, 4, 5, 6, 7])
+    def test_matches_benchmark_reference(self, figure_id):
+        # the benchmark's recorded tables, byte for byte
+        expected = (REFERENCE_DIR / f"fig{figure_id}.csv").read_bytes()
+        assert rows_to_csv(figure_dataset(figure_id).rows).encode() == expected
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,16 @@ class TestSweepAndFigure:
         )
         assert code == 1
 
+    def test_sweep_field_of_another_kind_records_error(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--model", "ring:n=12,a=0.3", "--vary", "r=3,5", "--format", "json"
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.strip().split("\n")]
+        assert [row["r"] for row in rows] == [3, 5]
+        assert all(row["error"].startswith("ParameterError: ring takes no r") for row in rows)
+        assert all(row["rate"] is None for row in rows)
+
     def test_figure_to_file(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "figure", "--id", "6", "--out", str(tmp_path))
         assert code == 0

@@ -24,10 +24,23 @@ from consensus_spectra import (
     torus,
 )
 from consensus_spectra.design import (
+    _h_ring_even,
+    _h_ring_odd,
+    _h_rnearest_even,
+    _h_rnearest_odd,
+    _h_torus2_even,
+    _h_torus2_odd,
     _h_torusN_even,
     _h_torusN_odd,
+    _R_ring_even,
+    _R_ring_odd,
+    _R_rnearest_even,
+    _R_rnearest_odd,
+    _R_torus2_even,
+    _R_torus2_odd,
     _R_torusN_even,
     _reconcile,
+    formula_case,
 )
 from conftest import A_GRID, grid_models
 
@@ -206,6 +219,68 @@ class TestClosedFormR:
         lam_s = extremal_pair(full_spectrum(model)).lambda_s.value
         assert rec.value == pytest.approx(1.0 - abs(1.0 - h * lam_s), abs=1e-12)
         assert rec.case == "torusN-odd"
+
+
+A = 0.37
+
+# one model per catalog case, torus sides distinct and given unsorted,
+# with the entries called in their documented argument order: 2-D tori
+# pass (k_small, k_big) or k_big, N-D tori the largest side first
+CATALOG_WIRING = [
+    ("ring-even", ring(8, A), lambda: _h_ring_even(8, A), lambda: _R_ring_even(8, A)),
+    ("ring-odd", ring(9, A), lambda: _h_ring_odd(9, A), lambda: _R_ring_odd(9, A)),
+    (
+        "rnearest-even",
+        r_nearest_ring(14, 3, A),
+        lambda: _h_rnearest_even(14, 3, A),
+        lambda: _R_rnearest_even(14, 3, A),
+    ),
+    (
+        "rnearest-odd",
+        r_nearest_ring(15, 3, A),
+        lambda: _h_rnearest_odd(15, 3, A),
+        lambda: _R_rnearest_odd(15, 3, A),
+    ),
+    ("torus2-even", torus((4, 8), A), lambda: _h_torus2_even(8, A), lambda: _R_torus2_even(8, A)),
+    (
+        "torus2-odd",
+        torus((9, 5), A),
+        lambda: _h_torus2_odd(5, 9, A),
+        lambda: _R_torus2_odd(5, 9, A),
+    ),
+    (
+        "torusN-even",
+        torus((8, 4, 6), A),
+        lambda: _h_torusN_even(8, 3, A),
+        lambda: _R_torusN_even(8, 3, A),
+    ),
+    (
+        "torusN-odd",
+        torus((7, 3, 5), A),
+        lambda: _h_torusN_odd((7, 5, 3), A),
+        lambda: _torusN_odd_rate((7, 3, 5), (7, 5, 3)),
+    ),
+]
+
+
+def _torusN_odd_rate(dims, dims_largest_first):
+    # no catalogued rate: the entry's h measured on the pipeline's slow mode
+    lam_s = design_pipeline(torus(dims, A)).extremal.lambda_s.value
+    return 1.0 - abs(1.0 - _h_torusN_odd(dims_largest_first, A) * lam_s)
+
+
+class TestCatalogWiring:
+    @pytest.mark.parametrize(
+        "case, model, h_expected, R_expected", CATALOG_WIRING, ids=[c[0] for c in CATALOG_WIRING]
+    )
+    def test_dispatch_calls_the_entry_with_documented_arguments(
+        self, case, model, h_expected, R_expected
+    ):
+        assert formula_case(model) == case
+        assert closed_form_h(model) == h_expected()
+        rec = closed_form_R(model)
+        assert rec.case == case
+        assert rec.value == R_expected()
 
 
 class TestMinimax:

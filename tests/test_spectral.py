@@ -116,6 +116,10 @@ class TestClosedEigenvalue:
             closed_eigenvalue(ring(4, 0.0), 4)
         with pytest.raises(IndexError):
             closed_eigenvalue(torus((3, 3), 0.0), (1, 3))
+        # a ring is the 1-torus: a second component is an error, not
+        # silently dropped
+        with pytest.raises(IndexError):
+            closed_eigenvalue(ring(4, 0.5), (1, 3))
 
     @pytest.mark.parametrize(
         "model",

@@ -56,6 +56,21 @@ class TestValidate:
         assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
 
     @pytest.mark.parametrize(
+        "model",
+        [
+            NetworkModel(Kind.RING, a=0.3, n=12, r=3),
+            NetworkModel(Kind.RING, a=0.3, n=12, dims=(3, 4)),
+            NetworkModel(Kind.R_NEAREST_RING, a=0.3, n=12, r=3, dims=(3, 4)),
+            NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), r=1),
+            NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), n=12),
+        ],
+        ids=["ring-r", "ring-dims", "rnearest-dims", "torus-r", "torus-n"],
+    )
+    def test_size_field_of_another_kind_rejected(self, model):
+        with pytest.raises(ParameterError, match="takes no"):
+            validate(model)
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: ring(4, True),
