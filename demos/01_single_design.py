@@ -4,7 +4,7 @@
 The 4-node ring with link factor a = 0.5 is the package's worked example:
 its consensus parameter, factor and rate come out as the exact fractions
 8/11, 5/11, 6/11, and all three solution routes (extremal-pair equation,
-closed-form catalog, minimax search) land on the same point.
+closed-form catalog, exact minimax) land on the same point.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ reconciled = cs.closed_form_R(model)
 print(f"closed-form rate: {reconciled.value:.12f} [{reconciled.tag.value} vs pipeline]")
 
 minimax = cs.minimax_h(spectrum)
-print(f"minimax search: h* = {minimax.h:.12f}, gamma* = {minimax.gamma:.12f}")
+print(f"exact minimax:  h* = {minimax.h:.12f}, gamma* = {minimax.gamma:.12f}")
 
 # watch the iteration contract at exactly gamma per step
 x0 = np.array([1.0, 2.0, 3.0, 4.0])

@@ -9,9 +9,10 @@ point and no interior eigenvalue binds first; both conditions fail at
 large asymmetry.  For the 4-node ring the breakdown is exactly at
 a = 1/sqrt(3) ~ 0.577.
 
-This script compares the pair design with the true minimax (ternary
-search over the convex worst-modulus objective) and with a brute-force
-h-scan, so all three routes certify each other.
+This script compares the pair design with the true minimax (solved
+exactly on the vertices of the spectrum's convex hull, where the convex
+worst-modulus objective is decided) and with a brute-force h-scan, so
+all three routes certify each other.
 """
 
 import numpy as np

@@ -118,21 +118,24 @@ def _parse_vary(specs: list[str]) -> dict:
             cast = lambda tok: tuple(int(p) for p in tok.split("x"))
         else:
             raise ParameterError(f"cannot vary {key!r}; expected n, r, a or dims")
-        if ":" in body and key != "dims":
-            parts = body.split(":")
-            if len(parts) not in (2, 3):
-                raise ParameterError(f"malformed range {body!r}, expected start:stop[:step]")
-            start, stop = float(parts[0]), float(parts[1])
-            step = float(parts[2]) if len(parts) == 3 else 1.0
-            if step <= 0:
-                raise ParameterError(f"range step must be positive in {spec!r}")
-            values = []
-            v = start
-            while v <= stop + 1e-12:
-                values.append(cast(round(v, 12)))
-                v += step
-        else:
-            values = [cast(tok) for tok in body.split(",") if tok]
+        try:
+            if ":" in body and key != "dims":
+                parts = body.split(":")
+                if len(parts) not in (2, 3):
+                    raise ParameterError(f"malformed range {body!r}, expected start:stop[:step]")
+                start, stop = float(parts[0]), float(parts[1])
+                step = float(parts[2]) if len(parts) == 3 else 1.0
+                if step <= 0:
+                    raise ParameterError(f"range step must be positive in {spec!r}")
+                values = []
+                v = start
+                while v <= stop + 1e-12:
+                    values.append(cast(round(v, 12)))
+                    v += step
+            else:
+                values = [cast(tok) for tok in body.split(",") if tok]
+        except ValueError as exc:
+            raise ParameterError(f"non-numeric value in --vary {spec!r}: {exc}") from None
         if not values:
             raise ParameterError(f"--vary {spec!r} produced no values")
         varying[key] = values

@@ -20,9 +20,10 @@ coefficient in the r-nearest entries being read as a**2) are preserved
 as-is so that deviations stay visible.
 
 ``minimax_h`` is an independent oracle: it minimizes the worst modulus
-max |1 - h*lambda| over all nonzero eigenvalues by ternary search,
-which is valid because that objective is a pointwise maximum of convex
-functions of h.
+max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
+is attained on the vertices of the spectrum's convex hull, built from
+the per-dimension factor hulls, and the minimizing h is an active
+vertex's own minimizer or the crossing of two active vertices.
 """
 
 from __future__ import annotations
@@ -406,10 +407,13 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     slow eigenvalue, and reconciled like every other case.
     """
     case, h_entry, R_entry, args = _catalog_entry(model)
-    printed = R_entry(*args) if R_entry else None
+    # the pipeline runs first, so a degenerate model raises DegenerateError
+    # before an entry is evaluated outside its domain
     pipeline = design_pipeline(model)
     if R_entry is None:
         printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
+    else:
+        printed = R_entry(*args)
     return _reconcile(printed, pipeline.rate, case)
 
 
@@ -423,47 +427,127 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     return _on_slow_mode(h, extremal_pair(full_spectrum(model)), DesignMethod.CLOSED_FORM)
 
 
-def minimax_h(
-    spectrum: Spectrum, tol: float = 1e-12, max_iter: int = 200
-) -> ConsensusDesign:
+def _convex_hull(z: np.ndarray) -> np.ndarray:
+    """Positions in ``z`` of its convex-hull vertices, counter-clockwise
+    from the leftmost-lowest point (both ends for collinear points).
+
+    Andrew's monotone chain with the stack replaced by rounds of
+    simultaneous deletion: a point that does not turn left between its
+    current neighbours on a chain is no hull vertex, so every such point
+    goes at once, and the rounds end when both chains turn left
+    everywhere.  Exact duplicates go first, since two copies of a vertex
+    would each see a zero turn.
+    """
+    order = np.lexsort((z.imag, z.real))
+    sorted_z = z[order]
+    order = order[np.concatenate(([True], sorted_z[1:] != sorted_z[:-1]))]
+    if len(order) < 3:
+        return order
+    chains = []
+    for chain in (order, order[::-1]):
+        while True:
+            q = z[chain]
+            d = q[1:] - q[:-1]
+            left = (d[:-1].conj() * d[1:]).imag > 0
+            if left.all():
+                break
+            chain = chain[np.concatenate(([True], left, [True]))]
+        chains.append(chain[:-1])
+    return np.concatenate(chains)
+
+
+def _hull_positions(spectrum: Spectrum) -> np.ndarray:
+    """Flat positions of the hull vertices of the nonzero eigenvalues.
+
+    The spectrum is the Cartesian sum of its per-dimension factors (a
+    ring or an r-nearest ring is one factor), read off the axis slices
+    through index 0.  The hull of a Cartesian sum is the Minkowski sum of
+    the factor hulls, whose boundary is the factor edges merged by angle.
+    The nonzero eigenvalues are the union over d of the sums whose
+    factor d skips its index 0, so each d gets one merge; the hull of the
+    stored values at the merged index tuples is the answer.
+    """
+    shape = spectrum.shape
+    m = len(shape)
+    grid = spectrum.values.reshape(shape)
+    factors = [grid[(0,) * d + (slice(None),) + (0,) * (m - d - 1)] for d in range(m)]
+
+    def polygon(f, positions):
+        # counter-clockwise from the lowest vertex, so that the edge
+        # angles rise through [0, 2*pi)
+        z = f[positions]
+        start = np.lexsort((z.real, z.imag))[0]
+        positions = np.concatenate((positions[start:], positions[:start]))
+        z = f[positions]
+        angles = np.mod(np.angle(np.concatenate((z[1:], z[:1])) - z), 2 * np.pi)
+        return positions, np.maximum.accumulate(angles)
+
+    full = [polygon(f, _convex_hull(f)) for f in factors]
+    nonzero = [polygon(f, _convex_hull(f[1:]) + 1) for f in factors]
+    tuples = [[] for _ in range(m)]
+    for d in range(m):
+        polygons = full[:d] + nonzero[d : d + 1] + full[d + 1 :]
+        owner = np.concatenate([np.full(len(p), e) for e, (p, _) in enumerate(polygons)])
+        owner = owner[np.argsort(np.concatenate([a for _, a in polygons]), kind="stable")]
+        # vertex t of the sum: every polygon's start advanced by its own
+        # edges among the first t
+        for e, (p, _) in enumerate(polygons):
+            step = owner == e
+            tuples[e].append(p[(np.cumsum(step) - step) % len(p)])
+    positions = np.ravel_multi_index(tuple(np.concatenate(t) for t in tuples), shape)
+    return positions[_convex_hull(spectrum.values[positions])]
+
+
+def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     """Minimize the worst contraction modulus over all nonzero eigenvalues.
 
-    f(h) = max |1 - h*lambda| is convex (a pointwise maximum of moduli
-    of affine functions of h), so ternary search on [0, 2 / max Re]
-    finds its global minimum; beyond that bracket the largest-real-part
-    eigenvalue alone already forces f >= 1.
+    |1 - h*lambda| is convex in lambda, so its maximum over the spectrum
+    is attained on the vertices of the convex hull of the nonzero
+    eigenvalues, and only those enter.  For h > 0,
+
+        max |1 - h*lambda|^2 = 1 + h * max (|lambda|^2 * h - 2 Re lambda),
+
+    the inner maximum is the upper envelope of one line per vertex, and
+    that envelope is dual to the upper hull of the points
+    (|lambda|^2, -2 Re lambda).  The objective is convex, so its minimum
+    lies on the first envelope piece at whose right end it stops
+    falling: at that line's own minimizer Re lambda / |lambda|^2, or at
+    the piece's left end, the crossing of two lines
+    2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
+    search runs.
     """
     values = spectrum.values
     if len(values) < 2:
         raise DegenerateError("spectrum has no nonzero eigenvalue")
-    nz = values[1:]
-    order = np.lexsort((nz.imag, nz.real))
-    sorted_nz = nz[order]
-    gaps = np.abs(np.diff(sorted_nz))
-    if len(nz) > 1 and not np.any(gaps > 1e-12):
+    z = values[_hull_positions(spectrum)]
+    if len(values) > 2 and not np.any(np.abs(z - z[0]) > 1e-12):
         raise DegenerateError("need at least two distinct nonzero eigenvalues")
-
-    def f(h: float) -> float:
-        return float(np.max(np.abs(1.0 - h * nz)))
-
-    lo, hi = 0.0, 2.0 / float(np.max(nz.real))
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            hi = m2
-        else:
-            lo = m1
-    h_star = 0.5 * (lo + hi)
-    gamma = f(h_star)
+    re = z.real
+    msq = re * re + z.imag * z.imag
+    dual = msq - 2j * re
+    outline = _convex_hull(dual)
+    # the upper chain runs counter-clockwise from the rightmost vertex
+    # back to the first; reversed, it lists the lines by rising slope
+    right = np.lexsort((dual[outline].imag, dual[outline].real))[-1]
+    upper = np.concatenate((outline[right:], outline[:1]))[::-1] if right else outline
+    slope, re_up = msq[upper], re[upper]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # where line k hands the envelope over to line k + 1
+        cross = 2.0 * (re_up[1:] - re_up[:-1]) / (slope[1:] - slope[:-1])
+    # piece k reaches into h > 0 and, at its right end, the objective's
+    # slope 2 (|l_k|^2 h - Re l_k) is no longer negative
+    rising = (cross > 0) & (slope[:-1] * cross >= re_up[:-1])
+    k = int(np.argmax(np.append(rising, True)))
+    h = float(re_up[k] / slope[k])
+    if k and cross[k - 1] > h:
+        h = float(cross[k - 1])
+    gamma = float(np.max(np.abs(1.0 - h * z)))
     try:
         pair = extremal_pair(spectrum)
     except DegenerateError:
         pair = None
     return ConsensusDesign(
-        h=h_star, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.MINIMAX, extremal=pair
+        h=h, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.MINIMAX, extremal=pair
     )
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,30 @@ class TestSweepAndFigure:
             capsys, "sweep", "--model", "ring:n=8,a=0", "--vary", "q=1,2"
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "model, vary",
+        [
+            ("ring:n=8,a=0.3", "n=3.5"),
+            ("torus:dims=3x4,a=0.3", "dims=3xq"),
+            ("ring:n=8,a=0.3", "a=0:x"),
+        ],
+    )
+    def test_sweep_non_numeric_vary_exit_1(self, model, vary):
+        # run as a subprocess, so an escaping exception would show as a
+        # traceback on stderr
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_spectra.cli", "sweep", "--model", model, "--vary", vary],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error type=ParameterError")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_sweep_field_of_another_kind_records_error(self, capsys):
         code, out, _ = invoke(

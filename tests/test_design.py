@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from consensus_spectra import (
     extremal_pair,
     full_spectrum,
     minimax_h,
+    parse_model,
     r_nearest_ring,
     ring,
     solve_h_pair,
@@ -212,6 +218,16 @@ class TestClosedFormR:
         for model in (r_nearest_ring(12, 1, 0.0), r_nearest_ring(12, 2, 0.3), r_nearest_ring(13, 2, 0.3)):
             assert closed_form_R(model).tag is ReconciliationTag.MISMATCH
 
+    def test_degenerate_model_raises_degenerate_error(self):
+        # the 3-ring at a = 0 has no pair design; the odd-ring rate entry
+        # would take the square root of a negative number
+        with pytest.raises(DegenerateError):
+            closed_form_R(ring(3, 0.0))
+
+    def test_parity_lookup_comes_first(self):
+        with pytest.raises(UnsupportedParityError):
+            closed_form_R(torus((3, 4), 0.0))
+
     def test_nd_odd_rate_is_derived_from_its_h(self):
         model = torus((5, 5, 5), 0.2)
         rec = closed_form_R(model)
@@ -286,20 +302,27 @@ class TestCatalogWiring:
 class TestMinimax:
     def test_ring4_symmetric_equioscillation(self):
         d = minimax_h(full_spectrum(ring(4, 0.0)))
-        assert d.h == pytest.approx(2 / 3, abs=1e-9)
-        assert d.gamma == pytest.approx(1 / 3, abs=1e-9)
+        assert d.h == pytest.approx(2 / 3, abs=1e-14)
+        assert d.gamma == pytest.approx(1 / 3, abs=1e-14)
         assert d.method is DesignMethod.MINIMAX
 
     def test_ring4_asymmetric_matches_pipeline(self):
         d = minimax_h(full_spectrum(ring(4, 0.5)))
-        assert d.h == pytest.approx(8 / 11, abs=1e-9)
-        assert d.gamma == pytest.approx(5 / 11, abs=1e-9)
+        assert d.h == pytest.approx(8 / 11, abs=1e-14)
+        assert d.gamma == pytest.approx(5 / 11, abs=1e-14)
+
+    def test_ring4_single_vertex_binds_beyond_breakdown(self):
+        # above a = 1/sqrt(3) the slow pair 1 +- 0.6i binds alone: h is
+        # its own minimiser Re/|l|^2 = 1/1.36 and gamma = 0.6/sqrt(1.36)
+        d = minimax_h(full_spectrum(ring(4, 0.6)))
+        assert d.h == pytest.approx(25 / 34, abs=1e-14)
+        assert d.gamma == pytest.approx(3 / math.sqrt(34), abs=1e-14)
 
     def test_rnearest_breakpoint(self):
         d = minimax_h(full_spectrum(r_nearest_ring(6, 2, 0.0)))
-        assert d.h == pytest.approx(0.4, abs=1e-9)
-        assert d.gamma == pytest.approx(0.2, abs=1e-9)
-        assert d.rate == pytest.approx(0.8, abs=1e-9)
+        assert d.h == pytest.approx(0.4, abs=1e-14)
+        assert d.gamma == pytest.approx(0.2, abs=1e-14)
+        assert d.rate == pytest.approx(0.8, abs=1e-14)
 
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateError):
@@ -317,7 +340,7 @@ class TestMinimax:
             spectrum = full_spectrum(model)
             d = minimax_h(spectrum)
             assert d.gamma == pytest.approx(
-                float(np.max(np.abs(1 - d.h * spectrum.values[1:]))), abs=1e-12
+                float(np.max(np.abs(1 - d.h * spectrum.values[1:]))), abs=1e-14
             )
 
     def test_never_beaten_by_a_scan(self):
@@ -328,7 +351,7 @@ class TestMinimax:
             nz = spectrum.values[1:]
             hs = np.linspace(0, 2.0 / nz.real.max(), 4001)
             scan = np.min(np.max(np.abs(1 - hs[:, None] * nz[None, :]), axis=1))
-            assert d.gamma <= scan + 1e-7
+            assert d.gamma <= scan + 1e-12
 
     def test_matches_pipeline_for_all_symmetric_grid_models(self):
         # with a = 0 the spectrum is real and the extremal pair is
@@ -339,7 +362,70 @@ class TestMinimax:
             except DegenerateError:
                 continue
             d_mm = minimax_h(full_spectrum(model))
-            assert d_mm.gamma == pytest.approx(d_pair.gamma, abs=1e-9), model
+            assert d_mm.gamma == pytest.approx(d_pair.gamma, abs=1e-12), model
+
+
+def _small_models():
+    a = st.floats(0.0, 1.0)
+    rings = st.builds(ring, st.integers(3, 40), a)
+    rnearest = st.integers(1, 6).flatmap(
+        lambda r: st.builds(r_nearest_ring, st.integers(2 * r + 2, 40), st.just(r), a)
+    )
+    tori = st.builds(torus, st.lists(st.integers(3, 9), min_size=2, max_size=3).map(tuple), a)
+    return st.one_of(rings, rnearest, tori)
+
+
+class TestMinimaxProperties:
+    @given(_small_models(), st.sampled_from(list(SpectrumSource)))
+    @settings(max_examples=150, deadline=None)
+    def test_exact_minimax_over_the_whole_spectrum(self, model, source):
+        spectrum = full_spectrum(model, source=source)
+        try:
+            d = minimax_h(spectrum)
+        except DegenerateError:
+            assume(False)
+        nz = spectrum.values[1:]
+        moduli = np.abs(1 - d.h * nz)
+        # the hull vertices decide: gamma is the worst modulus over every
+        # nonzero eigenvalue
+        assert d.gamma == pytest.approx(float(moduli.max()), abs=1e-14)
+        # no h on a fine scan does better
+        hs = np.linspace(0, 2.0 / nz.real.max(), 4001)
+        scan = np.min(np.max(np.abs(1 - hs[:, None] * nz[None, :]), axis=1))
+        assert d.gamma <= scan + 1e-12
+        # KKT certificate: 0 lies in the hull of the active subgradients
+        # d|1 - h*l|/dh = (h|l|^2 - Re l) / |1 - h*l|
+        active = moduli >= d.gamma - 1e-12
+        slopes = (d.h * np.abs(nz[active]) ** 2 - nz[active].real) / moduli[active]
+        assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
+
+
+CERTIFY_REFERENCE = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "certify.json").read_text()
+)
+
+
+class TestMinimaxReference:
+    @pytest.mark.parametrize("spec", sorted(CERTIFY_REFERENCE))
+    def test_matches_recorded_minimax_and_never_trails_the_pair(self, spec):
+        # includes the 2.3M-eigenvalue 5-torus of figure 6
+        reference = CERTIFY_REFERENCE[spec]
+        d = minimax_h(full_spectrum(parse_model(spec)))
+        assert d.gamma == pytest.approx(reference["minimax_gamma"], abs=1e-9)
+        assert d.gamma <= reference["gamma"] + 1e-9
+
+    def test_numpy_only(self):
+        code = (
+            "import sys, consensus_spectra as cs; "
+            "cs.minimax_h(cs.full_spectrum(cs.torus((3, 5, 7), 0.3))); "
+            "assert 'scipy' not in sys.modules, 'scipy imported'"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestMonotonicity:
