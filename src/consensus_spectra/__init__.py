@@ -60,6 +60,7 @@ from .spectral import (
     closed_eigenvalue,
     closed_values,
     extremal_pair,
+    factor_extremal_pair,
     full_spectrum,
     spectrum_to_csv,
     spectrum_to_json,

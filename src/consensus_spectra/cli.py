@@ -130,7 +130,10 @@ def _parse_vary(specs: list[str]) -> dict:
                 values = []
                 v = start
                 while v <= stop + 1e-12:
-                    values.append(cast(round(v, 12)))
+                    value = round(v, 12)
+                    if cast is int and not value.is_integer():
+                        raise ParameterError(f"--vary {spec!r} gives non-integral {key}={value!r}")
+                    values.append(cast(value))
                     v += step
             else:
                 values = [cast(tok) for tok in body.split(",") if tok]

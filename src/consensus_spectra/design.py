@@ -1,7 +1,8 @@
 """Best-constant weight design: consensus parameter, factor and rate.
 
 The canonical route (``design_pipeline``) works on any validated model:
-take the spectrum, pick the extremal eigenvalue pair, solve
+pick the extremal eigenvalue pair from the per-dimension factor spectra
+(``spectral.factor_extremal_pair``; no full spectrum is built), solve
 
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
@@ -17,7 +18,9 @@ recording whether it equals the pipeline rate, the pipeline rate minus
 one, or neither.  Known quirks of the catalog (literal 0.16
 coefficients in the odd-odd torus entry, the squared asymmetry
 coefficient in the r-nearest entries being read as a**2) are preserved
-as-is so that deviations stay visible.
+as-is so that deviations stay visible.  Each model's pair is selected
+once and shared by the pipeline, the catalog's reconciliation and
+``closed_design``.
 
 ``minimax_h`` is an independent oracle: it minimizes the worst modulus
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
@@ -29,6 +32,7 @@ vertex's own minimizer or the crossing of two active vertices.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +45,7 @@ from .spectral import (
     Spectrum,
     SpectrumSource,
     extremal_pair,
+    factor_extremal_pair,
     full_spectrum,
 )
 from .topology import Kind, NetworkModel, validate
@@ -114,15 +119,27 @@ def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> Consens
     return ConsensusDesign(h=h, gamma=gamma, rate=1.0 - gamma, method=method, extremal=pair)
 
 
+# The per-(model, source) summary: the extremal pair, selected from the
+# per-dimension factors.  The pipeline, the catalog's reconciliation and
+# closed design, minimax's extremal field and every sweep row's symmetric
+# rate read it, so a model's pair is computed once however many of them
+# ask.  128 entries hold a figure's symmetric models with room to spare;
+# a degenerate model raises, and exceptions are not cached.  Callers
+# validate first: an invalid model can equal a valid one (a=True == 1).
+_extremal = functools.lru_cache(maxsize=128)(factor_extremal_pair)
+
+
 def design_pipeline(
     model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> ConsensusDesign:
-    """Canonical best-constant design: spectrum -> extremal pair -> h.
+    """Canonical best-constant design: extremal pair -> h.
 
     This is the reference every closed-form entry is checked against.
     """
-    spectrum = full_spectrum(model, source=source)
-    pair = extremal_pair(spectrum)
+    return _pair_solve(_extremal(validate(model), source))
+
+
+def _pair_solve(pair: ExtremalPair) -> ConsensusDesign:
     return _on_slow_mode(solve_h_pair(pair.lambda_s, pair.lambda_l), pair, DesignMethod.PAIR_SOLVE)
 
 
@@ -408,8 +425,9 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     """
     case, h_entry, R_entry, args = _catalog_entry(model)
     # the pipeline runs first, so a degenerate model raises DegenerateError
-    # before an entry is evaluated outside its domain
-    pipeline = design_pipeline(model)
+    # before an entry is evaluated outside its domain; the lookup has
+    # validated the model
+    pipeline = _pair_solve(_extremal(model, SpectrumSource.CLOSED_FORM))
     if R_entry is None:
         printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
     else:
@@ -424,7 +442,7 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     deviating catalog entry shows up as a gamma unlike the pipeline's.
     """
     h = closed_form_h(model)
-    return _on_slow_mode(h, extremal_pair(full_spectrum(model)), DesignMethod.CLOSED_FORM)
+    return _on_slow_mode(h, _extremal(model, SpectrumSource.CLOSED_FORM), DesignMethod.CLOSED_FORM)
 
 
 def _convex_hull(z: np.ndarray) -> np.ndarray:
@@ -498,6 +516,18 @@ def _hull_positions(spectrum: Spectrum) -> np.ndarray:
     return positions[_convex_hull(spectrum.values[positions])]
 
 
+def _pair_of(spectrum: Spectrum) -> ExtremalPair:
+    """The spectrum's extremal pair from its model's summary, or from a
+    scan when the spectrum does not hold its model's values there (the
+    spectrum of a standalone circulant row carries a placeholder ring
+    model)."""
+    pair = _extremal(spectrum.model, spectrum.source)
+    for ev in (pair.lambda_s, pair.lambda_l):
+        if spectrum.values[np.ravel_multi_index(ev.index, spectrum.shape)] != ev.value:
+            return extremal_pair(spectrum)
+    return pair
+
+
 def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     """Minimize the worst contraction modulus over all nonzero eigenvalues.
 
@@ -515,6 +545,9 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     the piece's left end, the crossing of two lines
     2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
     search runs.
+
+    The ``extremal`` field is the spectrum's pair, read from its model's
+    summary (see ``_pair_of``).
     """
     values = spectrum.values
     if len(values) < 2:
@@ -543,7 +576,7 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
     try:
-        pair = extremal_pair(spectrum)
+        pair = _pair_of(spectrum)
     except DegenerateError:
         pair = None
     return ConsensusDesign(

@@ -4,19 +4,25 @@ Two independent routes produce the same spectrum:
 
 * closed trigonometric forms, one expression per family;
 * the discrete Fourier transform of the circulant first row (the
-  oracle route, kept free of any closed form); a torus sums its
-  per-ring oracle spectra over the index grid.
+  oracle route, kept free of any closed form).
+
+Either way a spectrum is the Cartesian sum of per-dimension factors: a
+torus sums its per-ring spectra over the index grid, and a ring or an
+r-nearest ring is one factor.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
-all-zeros index, and extremal selection scans for the smallest and
-largest real parts.  Real parts are independent of the asymmetric
-factor a; imaginary parts scale linearly in it.
+all-zeros index, and extremal selection looks for the smallest and
+largest real parts.  ``extremal_pair`` scans a full spectrum;
+``factor_extremal_pair`` selects the same pair per factor, without
+building the N eigenvalues.  Real parts are independent of the
+asymmetric factor a; imaginary parts scale linearly in it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -135,14 +141,27 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     return reduce(outer_sum, per_dim)
 
 
-def _closed_values_at(model: NetworkModel, per_dim: list[np.ndarray]) -> np.ndarray:
-    """Closed-form eigenvalues over the grid of per-dimension index arrays
-    (a ring is the 1-torus: its single array passes through unchanged)."""
+def _closed_factors(model: NetworkModel, per_dim: list[np.ndarray]) -> list[np.ndarray]:
+    """Closed-form per-dimension factors at the per-dimension index arrays
+    (an r-nearest ring is one factor, a ring the 1-torus's one factor)."""
     if model.kind is Kind.R_NEAREST_RING:
-        return _closed_rnearest_values(per_dim[0], model.n, model.r, model.a)
-    return _compose_cartesian(
-        [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.shape)]
-    )
+        return [_closed_rnearest_values(per_dim[0], model.n, model.r, model.a)]
+    return [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.shape)]
+
+
+def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
+    """The model's per-dimension factor spectra from the requested route;
+    ``_compose_cartesian`` of them is its full spectrum.
+
+    DFT_ORACLE transforms the circulant row of an r-nearest ring, or of
+    each side's ring for a torus (the ring is the 1-torus), which stays
+    independent of the trigonometric simplification.
+    """
+    if source is SpectrumSource.CLOSED_FORM:
+        return _closed_factors(model, [np.arange(k) for k in model.shape])
+    if model.kind is Kind.R_NEAREST_RING:
+        return [circulant_spectrum(circulant_row(model)).values]
+    return [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.shape]
 
 
 def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
@@ -159,34 +178,23 @@ def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
     for c, k in zip(idx, model.shape):
         if not 0 <= c < k:
             raise IndexError(f"index component {c} outside [0, {k})")
-    v = _closed_values_at(model, [np.array([c]) for c in idx])[0]
+    v = _compose_cartesian(_closed_factors(model, [np.array([c]) for c in idx]))[0]
     return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=idx)
 
 
 def closed_values(model: NetworkModel) -> np.ndarray:
     """All eigenvalues from the closed forms, as a flat complex array."""
     validate(model)
-    return _closed_values_at(model, [np.arange(k) for k in model.shape])
+    return _compose_cartesian(_factors(model, SpectrumSource.CLOSED_FORM))
 
 
 def full_spectrum(
     model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> Spectrum:
-    """Complete spectrum via the requested route.
-
-    DFT_ORACLE transforms the circulant row of an r-nearest ring; a torus
-    (the ring is the 1-torus) composes its per-dimension ring oracles,
-    which stays independent of the trigonometric simplification.
-    """
+    """Complete spectrum via the requested route: the Cartesian sum of the
+    per-dimension factors (see ``_factors``)."""
     validate(model)
-    if source is SpectrumSource.CLOSED_FORM:
-        return Spectrum(model=model, values=closed_values(model), source=source)
-    if model.kind is Kind.R_NEAREST_RING:
-        values = circulant_spectrum(circulant_row(model)).values
-    else:
-        rings = [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.shape]
-        values = _compose_cartesian(rings)
-    return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
+    return Spectrum(model=model, values=_compose_cartesian(_factors(model, source)), source=source)
 
 
 _RE_TIE_TOL = 1e-9
@@ -222,14 +230,68 @@ def extremal_pair(spectrum: Spectrum) -> ExtremalPair:
 
     s_pos = pick(re <= re.min() + _RE_TIE_TOL)
     l_pos = pick(re >= re.max() - _RE_TIE_TOL)
-    lam_s = spectrum.eigenvalue(s_pos)
-    lam_l = spectrum.eigenvalue(l_pos)
+    return _checked_pair(spectrum.eigenvalue(s_pos), spectrum.eigenvalue(l_pos))
+
+
+def _checked_pair(lam_s: ComplexEigenvalue, lam_l: ComplexEigenvalue) -> ExtremalPair:
     if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= _MODULUS_TOL * max(1.0, lam_l.modulus_sq):
         raise DegenerateError(
             f"extremal eigenvalues have equal moduli (|l_s|^2 = {lam_s.modulus_sq!r}, "
             f"|l_l|^2 = {lam_l.modulus_sq!r}); no nonzero consensus parameter exists"
         )
     return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
+
+
+def factor_extremal_pair(
+    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
+) -> ExtremalPair:
+    """``extremal_pair(full_spectrum(model, source))``, bit for bit, from
+    the per-dimension factors alone: O(sum of the sides), not O(N).
+
+    Float addition is monotone, so a composed real part can lie within
+    the tie tolerance of the nonzero minimum only if each component
+    does with every other dimension held at its own minimum (and
+    likewise for the maximum).  The product of those few per-dimension
+    candidates is composed in ``_compose_cartesian`` order, which
+    reproduces every value and the flat index order, and
+    ``extremal_pair``'s tie rules pick from it.  A ring or an r-nearest
+    ring is its own single factor and is scanned directly.
+    """
+    validate(model)
+    factors = _factors(model, source)
+    if len(factors) == 1:
+        return extremal_pair(Spectrum(model=model, values=factors[0], source=source))
+
+    def pick(sign: float) -> ComplexEigenvalue:
+        # sign 1 selects the smallest nonzero real part, sign -1 the
+        # largest; negation is exact, so every sum and threshold is the
+        # negation of the one extremal_pair computes
+        re = [sign * f.real for f in factors]
+        low_nz = [float(r[1:].min()) for r in re]
+        low = [min(float(r[0]), v) for r, v in zip(re, low_nz)]
+
+        def held(d, x):
+            # x in dimension d and every other dimension at its minimum,
+            # added in _compose_cartesian's order
+            return reduce(operator.add, low[:d] + [x] + low[d + 1 :])
+
+        # a nonzero index tuple has a nonzero component in some dimension d
+        limit = min(held(d, v) for d, v in enumerate(low_nz)) + _RE_TIE_TOL
+        cands = [np.flatnonzero(held(d, r) <= limit) for d, r in enumerate(re)]
+        values = _compose_cartesian([f[c] for f, c in zip(factors, cands)])
+        keep = sign * values.real <= limit
+        # the all-zeros index, first when every candidate set holds it, is
+        # the consensus eigenvalue
+        keep[0] &= any(c[0] for c in cands)
+        im_abs = np.abs(values.imag)
+        best_im = im_abs[keep].max()
+        first = int(np.argmax(keep & (im_abs >= best_im - _RE_TIE_TOL)))
+        at = np.unravel_index(first, [len(c) for c in cands])
+        v = values[first]
+        index = tuple(int(c[i]) for c, i in zip(cands, at))
+        return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=index)
+
+    return _checked_pair(pick(1.0), pick(-1.0))
 
 
 # --- export -------------------------------------------------------------------

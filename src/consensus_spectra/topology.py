@@ -41,7 +41,9 @@ class Kind(enum.Enum):
 
 
 def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    # stored sizes are plain ints, tested first: the ABC check costs about
+    # a microsecond, and validate runs on every design
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def _as_int(v):
@@ -69,6 +71,10 @@ class NetworkModel:
         object.__setattr__(self, "r", _as_int(self.r))
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(_as_int(k) for k in self.dims))
+        if isinstance(self.a, float) and self.a == 0.0:
+            # -0.0 is stored as 0.0: it formats as "a=0.0" and is one
+            # model with +0.0, as equality and hashing already say
+            object.__setattr__(self, "a", 0.0)
 
     @property
     def order(self) -> int:

@@ -16,6 +16,7 @@ from consensus_spectra import (
     torus,
     write_figure,
 )
+from consensus_spectra import design
 from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -137,6 +138,16 @@ class TestFigureDatasets:
         # the benchmark's recorded tables, byte for byte
         expected = (REFERENCE_DIR / f"fig{figure_id}.csv").read_bytes()
         assert rows_to_csv(figure_dataset(figure_id).rows).encode() == expected
+
+    @pytest.mark.parametrize("figure_id", [3, 5, 7])
+    def test_one_pair_selection_per_model(self, figure_id):
+        # each row's symmetric rate reads the same per-model summary as
+        # the row's own design, so a figure selects one pair per distinct
+        # model, however many rows share a topology
+        design._extremal.cache_clear()
+        rows = figure_dataset(figure_id).rows
+        models = {(row.kind, row.n, row.r, row.dims, a) for row in rows for a in (row.a, 0.0)}
+        assert design._extremal.cache_info().misses == len(models)
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):

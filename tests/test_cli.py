@@ -182,6 +182,13 @@ class TestSweepAndFigure:
         assert code == 0
         assert len(out.strip().split("\n")) == 4
 
+    def test_sweep_integer_range(self, capsys):
+        code, out, _ = invoke(
+            capsys, "sweep", "--model", "ring:n=8,a=0.3", "--vary", "n=4:8:2", "--format", "json"
+        )
+        assert code == 0
+        assert [json.loads(line)["n"] for line in out.strip().split("\n")] == [4, 6, 8]
+
     def test_sweep_bad_vary_exit_1(self, capsys):
         code, _, err = invoke(
             capsys, "sweep", "--model", "ring:n=8,a=0", "--vary", "q=1,2"
@@ -194,6 +201,8 @@ class TestSweepAndFigure:
             ("ring:n=8,a=0.3", "n=3.5"),
             ("torus:dims=3x4,a=0.3", "dims=3xq"),
             ("ring:n=8,a=0.3", "a=0:x"),
+            # a range may not step an integer field through fractions
+            ("ring:n=8,a=0.3", "n=3:5:0.5"),
         ],
     )
     def test_sweep_non_numeric_vary_exit_1(self, model, vary):

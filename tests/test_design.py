@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from consensus_spectra import (
     ReconciliationTag,
     SpectrumSource,
     UnsupportedParityError,
+    circulant_row,
+    circulant_spectrum,
     closed_design,
     closed_form_R,
     closed_form_h,
@@ -29,6 +32,7 @@ from consensus_spectra import (
     solve_h_pair,
     torus,
 )
+from consensus_spectra import design
 from consensus_spectra.design import (
     _h_ring_even,
     _h_ring_odd,
@@ -237,6 +241,86 @@ class TestClosedFormR:
         assert rec.case == "torusN-odd"
 
 
+class TestPerModelSummary:
+    """Each (model, source) pair is selected once and shared; repr compares
+    every field exactly, NaN and the sign of zero included."""
+
+    def test_warm_closed_form_R_equals_cold(self):
+        for _, model, _, _ in CATALOG_WIRING:  # one model per catalog case
+            design._extremal.cache_clear()
+            cold = closed_form_R(model)
+            design._extremal.cache_clear()
+            design_pipeline(model)
+            warm = closed_form_R(model)
+            assert repr(warm) == repr(cold), model
+
+    @pytest.mark.parametrize("first", list(SpectrumSource))
+    def test_sources_do_not_alias(self, first):
+        # the two routes' pairs of a 7-ring differ in their last bits
+        model = ring(7, 0.3)
+        design._extremal.cache_clear()
+        designs = {first: design_pipeline(model, first)}
+        for source in SpectrumSource:
+            designs.setdefault(source, design_pipeline(model, source))
+        for source, d in designs.items():
+            spectrum = full_spectrum(model, source)
+            assert repr(d.extremal) == repr(extremal_pair(spectrum))
+            assert repr(minimax_h(spectrum).extremal) == repr(d.extremal)
+        assert repr(designs[SpectrumSource.CLOSED_FORM]) != repr(designs[SpectrumSource.DFT_ORACLE])
+        assert repr(closed_design(model).extremal) == repr(
+            designs[SpectrumSource.CLOSED_FORM].extremal
+        )
+
+    def test_standalone_row_spectrum_is_scanned(self):
+        # its model is a placeholder ring, whose pair is not the row's
+        for model in (r_nearest_ring(12, 2, 0.3), r_nearest_ring(20, 4, 0.9)):
+            spectrum = circulant_spectrum(circulant_row(model))
+            assert repr(minimax_h(spectrum).extremal) == repr(extremal_pair(spectrum))
+
+    def test_degenerate_model_raises_on_every_call(self):
+        for _ in range(3):
+            for call in (design_pipeline, closed_form_R, closed_design):
+                with pytest.raises(DegenerateError):
+                    call(ring(3, 0.0))
+
+
+class TestScaleGuard:
+    def test_billion_node_torus_designs_from_its_factors(self):
+        # 10^9 eigenvalues would take 16 GB; the address-space cap turns a
+        # route back to the full spectrum into a quick MemoryError
+        code = textwrap.dedent(
+            """
+            import json, resource, time, tracemalloc
+            import consensus_spectra as cs
+
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            cap = 4 * 2**30
+            resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+            model = cs.torus((1000, 1000, 1000), 0.3)
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            d = cs.design_pipeline(model)
+            rec = cs.closed_form_R(model)
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+            print(json.dumps({"seconds": seconds, "peak": peak, "rate": d.rate,
+                              "pipeline_rate": rec.pipeline_rate,
+                              "lambda_s": d.extremal.lambda_s.index}))
+            """
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["seconds"] < 0.25
+        assert out["peak"] < 1_000_000
+        assert out["pipeline_rate"] == out["rate"] > 0
+        assert out["lambda_s"] == [0, 0, 1]
+
+
 A = 0.37
 
 # one model per catalog case, torus sides distinct and given unsorted,
@@ -393,6 +477,12 @@ class TestMinimaxProperties:
         hs = np.linspace(0, 2.0 / nz.real.max(), 4001)
         scan = np.min(np.max(np.abs(1 - hs[:, None] * nz[None, :]), axis=1))
         assert d.gamma <= scan + 1e-12
+        # the extremal field is the pair the full-spectrum scan selects
+        try:
+            pair = extremal_pair(spectrum)
+        except DegenerateError:
+            pair = None
+        assert repr(d.extremal) == repr(pair)
         # KKT certificate: 0 lies in the hull of the active subgradients
         # d|1 - h*l|/dh = (h|l|^2 - Re l) / |1 - h*l|
         active = moduli >= d.gamma - 1e-12

@@ -15,6 +15,7 @@ from consensus_spectra import (
     closed_eigenvalue,
     closed_values,
     extremal_pair,
+    factor_extremal_pair,
     full_spectrum,
     r_nearest_ring,
     ring,
@@ -22,7 +23,7 @@ from consensus_spectra import (
     spectrum_to_json,
     torus,
 )
-from conftest import A_GRID
+from conftest import A_GRID, grid_models
 
 
 def dft_by_hand(entries, j):
@@ -252,6 +253,71 @@ class TestExtremalPair:
                 pair = extremal_pair(full_spectrum(model))
                 assert pair.lambda_l.re >= pair.lambda_s.re
                 assert abs(pair.lambda_s.value) > 0
+
+
+def pair_bits(pair_of):
+    """(re, im, index) of both pair members with exact float bits, or the
+    DegenerateError the selection raised."""
+    try:
+        pair = pair_of()
+    except DegenerateError:
+        return "DegenerateError"
+    return tuple((ev.re.hex(), ev.im.hex(), ev.index) for ev in (pair.lambda_s, pair.lambda_l))
+
+
+@st.composite
+def tori_with_a_long_side(draw):
+    """2- to 5-D tori of at most ~1.2M nodes, one side up to 3e5 so that
+    real parts within 1e-9 of an extreme span several indices."""
+    sides = draw(st.lists(st.integers(3, 9), min_size=2, max_size=5))
+    if draw(st.booleans()):
+        room = 1_200_000 // math.prod(sides[1:])
+        sides[0] = draw(st.integers(3, max(3, min(300_000, room))))
+    turn = draw(st.integers(0, len(sides) - 1))
+    a = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return torus(tuple(sides[turn:] + sides[:turn]), a)
+
+
+class TestFactorExtremalPair:
+    """The per-factor selection reproduces the full-spectrum scan bit for
+    bit, including which member of a tie it takes."""
+
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    def test_matches_the_scan_on_the_grid(self, source):
+        for model in (m for a in A_GRID for m in grid_models(a)):
+            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
+                lambda: extremal_pair(full_spectrum(model, source))
+            ), model
+
+    @given(tori_with_a_long_side(), st.sampled_from(list(SpectrumSource)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scan_on_tori(self, model, source):
+        assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
+            lambda: extremal_pair(full_spectrum(model, source))
+        )
+
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
+    def test_ties_spanning_several_indices(self, source, a):
+        model = torus((299_999, 3), a)
+        re = full_spectrum(model, source).values[1:].real
+        assert np.sum(re <= re.min() + 1e-9) >= 4
+        assert np.sum(re >= re.max() - 1e-9) >= 8
+        assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
+            lambda: extremal_pair(full_spectrum(model, source))
+        )
+
+    @pytest.mark.parametrize("dims", [(89, 5), (5, 89), (89, 89, 3), (4, 89, 6, 3)])
+    def test_oracle_factors_with_a_nonzero_consensus_value(self, dims):
+        # the oracle's index-0 value of the 89-ring is not exactly 0, so
+        # the axis slices of a composed oracle grid are not its factors
+        for a in A_GRID:
+            assert circulant_spectrum(circulant_row(ring(89, a))).values[0] != 0
+            model = torus(dims, a)
+            source = SpectrumSource.DFT_ORACLE
+            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
+                lambda: extremal_pair(full_spectrum(model, source))
+            )
 
 
 class TestExports:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -209,6 +211,19 @@ class TestModelGrammar:
     def test_round_trip(self, text):
         model = parse_model(text)
         assert parse_model(format_model(model)) == model
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ring(8, -0.0),
+            lambda: parse_model("rnearest:n=8,r=2,a=-0.0"),
+            lambda: torus((3, 4), np.float64(-0.0)),
+        ],
+    )
+    def test_negative_zero_a_is_stored_as_zero(self, build):
+        model = build()
+        assert math.copysign(1.0, model.a) == 1.0
+        assert format_model(model).endswith(",a=0.0")
 
     def test_parse_values(self):
         m = parse_model("rnearest:n=12,r=3,a=0.25")
