@@ -8,6 +8,15 @@ circular window sums for the r-nearest ring, per-axis cyclic shifts on
 the torus grid, of which the ring is the one-axis case); both produce
 identical traces.
 
+The structured step allocates nothing per step: its buffers and the
+double-buffered state are allocated once per run.  A torus shift is a
+flat contiguous copy by the axis stride whose wrap slab in each block is
+then overwritten; the window sums run on a padded copy of the deviation.
+Each step does the float operations of the allocating expressions
+``x - h * (degree * x + fw * roll(x, -1) + bw * roll(x, 1) + ...)`` and
+``r * d + fw * ahead + bw * behind`` in the same order, so its traces
+are bit-identical to theirs.
+
 Initial vectors for the verification harness come from an explicit
 splitmix-style 64-bit generator, evaluated for the whole vector at once
 in uint64 arithmetic, so that traces reproduce bit-for-bit across
@@ -86,36 +95,71 @@ def uniform_vector(seed: int, size: int) -> np.ndarray:
 
 
 def _structured_apply_L(model: NetworkModel):
-    """Return x -> L @ x without materializing L."""
+    """Return x -> L @ x without materializing L.
+
+    The buffers are allocated once, here: each call overwrites and
+    returns the same output array, so a caller keeps the result only
+    until its next call.
+    """
     a = model.a
     fw = (-1.0 + a) / 2.0
     bw = (-1.0 - a) / 2.0
+    n = model.order
+    out = np.empty(n)
     if model.kind is Kind.R_NEAREST_RING:
         r = model.r
-        n = model.n
+        # d = x - mean(x) sits at pad[r : r + n] between copies of its two
+        # ends; c[0] = 0 and c[1:] holds the prefix sums of pad
+        pad = np.empty(n + 2 * r)
+        c = np.zeros(n + 2 * r + 1)
+        d = pad[r : r + n]
+        # once r * d is in out, pad is free: its head holds the windows
+        window = pad[:n]
 
         def apply(x):
             # L @ 1 = 0, so work on the deviation: the prefix sums then
             # stay near the size of the fluctuations, not of the mean
-            d = x - x.mean()
-            c = np.concatenate(([0.0], np.cumsum(np.concatenate((d[-r:], d, d[:r])))))
+            np.subtract(x, x.mean(), out=d)
+            pad[:r] = pad[n : n + r]
+            pad[n + r :] = pad[r : 2 * r]
+            np.cumsum(pad, out=c[1:])
+            np.multiply(d, float(r), out=out)
             # d[i] sits at padded position i + r; the forward window is
             # d[i+1 .. i+r], the backward window d[i-r .. i-1]
-            ahead = c[2 * r + 1 : 2 * r + 1 + n] - c[r + 1 : r + 1 + n]
-            behind = c[r : r + n] - c[:n]
-            return float(r) * d + fw * ahead + bw * behind
+            np.subtract(c[2 * r + 1 : 2 * r + 1 + n], c[r + 1 : r + 1 + n], out=window)
+            np.multiply(window, fw, out=window)
+            np.add(out, window, out=out)
+            np.subtract(c[r : r + n], c[:n], out=window)
+            np.multiply(window, bw, out=window)
+            np.add(out, window, out=out)
+            return out
 
         return apply
-    # a ring is the 1-torus: one axis, degree weight 1
-    shape = model.shape
+    # a ring is the 1-torus: one axis, degree weight 1.  In the flat C-order
+    # vector an axis of length k and stride s cycles within blocks of k * s
+    # entries: a neighbour is a flat shift by s, except in the block's wrap
+    # slab of s entries, which is then overwritten from the block's other end
     degree = model.degree_weight
+    buf = np.empty(n)
+    blocks = []
+    stride = n
+    for k in model.shape:
+        stride //= k
+        blocks.append((stride, k * stride, buf.reshape(-1, k * stride)))
 
     def apply(x):
-        grid = x.reshape(shape)
-        acc = degree * grid
-        for axis in range(len(shape)):
-            acc = acc + fw * np.roll(grid, -1, axis=axis) + bw * np.roll(grid, 1, axis=axis)
-        return acc.ravel()
+        np.multiply(x, degree, out=out)
+        for s, block, shifted in blocks:
+            grid = x.reshape(-1, block)
+            buf[:-s] = x[s:]
+            shifted[:, block - s :] = grid[:, :s]
+            np.multiply(buf, fw, out=buf)
+            np.add(out, buf, out=out)
+            buf[s:] = x[:-s]
+            shifted[:, :s] = grid[:, block - s :]
+            np.multiply(buf, bw, out=buf)
+            np.add(out, buf, out=out)
+        return out
 
     return apply
 
@@ -140,7 +184,8 @@ def run_consensus(
     initial value, which signals a non-contracting weight matrix.
     """
     validate(model)
-    x = np.asarray(x0, dtype=float)
+    # a copy: the state is double-buffered in place and x0 is never written
+    x = np.array(x0, dtype=float)
     if x.shape != (model.order,):
         raise ParameterError(f"x0 has shape {x.shape}, model order is {model.order}")
     if not h > 0:
@@ -158,15 +203,27 @@ def run_consensus(
         apply_L = _structured_apply_L(model)
 
     target = x.mean()
-    errors = [float(np.linalg.norm(x - target))]
+    nxt = np.empty_like(x)
+    e = np.empty_like(x)
+
+    def error_norm(v) -> float:
+        # the 2-norm exactly as np.linalg.norm computes it for a 1-D float
+        # array, sqrt(e . e), without its temporary
+        np.subtract(v, target, out=e)
+        return math.sqrt(e.dot(e))
+
+    errors = [error_norm(x)]
     averages = [float(x.mean())]
     initial_error = errors[0]
     converged = errors[0] <= tolerance
     steps = 0
     while not converged and steps < max_steps:
-        x = x - h * apply_L(x)
+        step = apply_L(x)
+        np.multiply(step, h, out=step)
+        np.subtract(x, step, out=nxt)
+        x, nxt = nxt, x
         steps += 1
-        err = float(np.linalg.norm(x - target))
+        err = error_norm(x)
         errors.append(err)
         averages.append(float(x.mean()))
         if err > _DIVERGENCE_FACTOR * max(initial_error, 1e-300):
@@ -234,7 +291,8 @@ def verify_consensus(
     Each trial asserts average preservation, convergence when gamma < 1,
     and that the measured contraction is within max(0.01, 0.02 * gamma)
     of the design gamma.  Failures become report entries, they do not
-    raise.
+    raise: a design with h <= 0, which ``run_consensus`` rejects, fails
+    every trial unrun, as a diverging one fails at run time.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
@@ -242,6 +300,10 @@ def verify_consensus(
     gamma = design.gamma
     for trial in range(trials):
         trial_seed = seed + trial
+        if not design.h > 0:
+            note = f"non-contracting design: h={design.h:.6g} <= 0"
+            results.append(TrialResult(trial, trial_seed, math.nan, gamma, False, note))
+            continue
         x0 = uniform_vector(trial_seed, model.order)
         note = ""
         passed = True

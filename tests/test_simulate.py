@@ -1,3 +1,11 @@
+import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +27,8 @@ from consensus_spectra import (
     uniform_vector,
     verify_consensus,
 )
-from consensus_spectra.simulate import _structured_apply_L
-from consensus_spectra.topology import dense_laplacian
+from consensus_spectra.simulate import DEFAULT_WINDOW, _late_window_factor, _structured_apply_L
+from consensus_spectra.topology import Kind, dense_laplacian
 
 
 def scalar_uniform_stream(seed, size):
@@ -56,10 +64,95 @@ class TestSplitmix:
 
 
 def _apply_models():
+    # unequal sides in both orders and a 4-axis torus: a wrong stride or
+    # wrap slab would apply L^T or mix axes
     models = []
     for a in (0.0, 0.37, 1.0):
-        models += [ring(11, a), torus((3, 4, 5), a), r_nearest_ring(14, 1, a), r_nearest_ring(14, 6, a)]
+        models += [
+            ring(11, a),
+            torus((3, 4, 5), a),
+            torus((3, 7, 4, 5), a),
+            torus((9, 3), a),
+            r_nearest_ring(14, 1, a),
+            r_nearest_ring(14, 6, a),
+            r_nearest_ring(12, 5, a),
+        ]
     return models
+
+
+def reference_apply_L(model):
+    """The allocating step: np.roll per torus axis, concatenate plus
+    cumsum windows for the r-nearest ring."""
+    a = model.a
+    fw = (-1.0 + a) / 2.0
+    bw = (-1.0 - a) / 2.0
+    if model.kind is Kind.R_NEAREST_RING:
+        r, n = model.r, model.n
+
+        def apply(x):
+            d = x - x.mean()
+            c = np.concatenate(([0.0], np.cumsum(np.concatenate((d[-r:], d, d[:r])))))
+            ahead = c[2 * r + 1 : 2 * r + 1 + n] - c[r + 1 : r + 1 + n]
+            behind = c[r : r + n] - c[:n]
+            return float(r) * d + fw * ahead + bw * behind
+
+        return apply
+    shape, degree = model.shape, model.degree_weight
+
+    def apply(x):
+        grid = x.reshape(shape)
+        acc = degree * grid
+        for axis in range(len(shape)):
+            acc = acc + fw * np.roll(grid, -1, axis=axis) + bw * np.roll(grid, 1, axis=axis)
+        return acc.ravel()
+
+    return apply
+
+
+def reference_run(model, h, x0, max_steps, tolerance, dense=False):
+    """The allocating consensus loop; returns (steps, error_norms,
+    averages, empirical_factor, converged) or raises DivergenceError."""
+    if dense:
+        lap = dense_laplacian(model).values
+
+        def apply_L(v):
+            return lap @ v
+
+    else:
+        apply_L = reference_apply_L(model)
+    x = np.asarray(x0, dtype=float)
+    target = x.mean()
+    errors = [float(np.linalg.norm(x - target))]
+    averages = [float(x.mean())]
+    converged = errors[0] <= tolerance
+    steps = 0
+    while not converged and steps < max_steps:
+        x = x - h * apply_L(x)
+        steps += 1
+        err = float(np.linalg.norm(x - target))
+        errors.append(err)
+        averages.append(float(x.mean()))
+        if err > 1e6 * max(errors[0], 1e-300):
+            raise DivergenceError(f"error norm {err:.3e} exceeded 1e+06 x initial after {steps} steps")
+        converged = err <= tolerance
+    errors = np.array(errors)
+    return steps, errors, np.array(averages), _late_window_factor(errors, DEFAULT_WINDOW), converged
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_structured_models = st.one_of(
+    st.builds(ring, st.integers(min_value=3, max_value=300), _unit),
+    st.integers(min_value=1, max_value=30).flatmap(
+        lambda r: st.builds(
+            r_nearest_ring, st.integers(min_value=2 * r + 2, max_value=2 * r + 150), st.just(r), _unit
+        )
+    ),
+    st.builds(
+        torus,
+        st.lists(st.integers(min_value=3, max_value=9), min_size=2, max_size=5).map(tuple),
+        _unit,
+    ),
+)
 
 
 def _window_models():
@@ -120,6 +213,59 @@ class TestRunConsensus:
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError):
             run_consensus(ring(8, 0.0), 2.0, uniform_vector(1, 8), 2000, 1e-12)
+
+    @given(
+        _structured_models,
+        st.floats(min_value=0.0, max_value=0.6, exclude_min=True),
+        st.integers(min_value=0, max_value=2**32),
+        st.floats(min_value=0.0, max_value=14.0),
+        st.integers(min_value=0, max_value=60),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_to_allocating_step(self, model, h, seed, decades, max_steps, dense):
+        # the in-place step must do the reference's float operations in
+        # the reference's order; a tolerance some decades below the
+        # initial error stops runs mid-way, and large h diverges.  A
+        # zero-centred x0 keeps last-bit differences in L @ x from being
+        # rounded away against a large mean
+        dense = dense and model.order <= 400
+        x0 = uniform_vector(seed, model.order) - 0.5
+        kept = x0.copy()
+        tolerance = max(np.linalg.norm(x0 - x0.mean()) * 10.0**-decades, 1e-300)
+        try:
+            want = reference_run(model, h, x0, max_steps, tolerance, dense=dense)
+        except DivergenceError as exc:
+            with pytest.raises(DivergenceError) as got:
+                run_consensus(model, h, x0, max_steps, tolerance, dense=dense)
+            assert str(got.value) == str(exc)
+            assert np.array_equal(x0, kept)
+            return
+        trace = run_consensus(model, h, x0, max_steps, tolerance, dense=dense)
+        # the state is double-buffered in place; the caller's x0 is not
+        assert np.array_equal(x0, kept)
+        assert trace.steps == want[0]
+        assert np.array_equal(trace.error_norms, want[1])
+        assert np.array_equal(trace.averages, want[2])
+        assert trace.empirical_factor == want[3]
+        assert trace.converged == want[4]
+
+    @pytest.mark.parametrize(
+        "model",
+        [ring(10**6, 0.3), torus((100, 100, 100), 0.3), torus((10,) * 6, 0.3), r_nearest_ring(10**6, 8, 0.3)],
+        ids=format_model,
+    )
+    def test_peak_memory_bounded(self, model):
+        # the step's buffers are allocated once per run, so the peak does
+        # not grow with the number of torus axes
+        x0 = uniform_vector(1, model.order)
+        tracemalloc.start()
+        try:
+            run_consensus(model, 0.1, x0, 5, 1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * x0.nbytes
 
     def test_dense_and_structured_identical(self):
         for model in (ring(12, 0.7), r_nearest_ring(14, 4, 0.3), torus((3, 4, 5), 0.5)):
@@ -219,6 +365,35 @@ class TestVerifyConsensus:
         assert len(report) == 1
         assert not report[0].passed
         assert "diverged" in report[0].note
+
+    def test_non_contracting_design_recorded_as_failure(self):
+        # the pipeline returns h < 0 here, which run_consensus rejects;
+        # verify reports it per trial instead of raising
+        model = r_nearest_ring(12, 5, 0.9)
+        design = design_pipeline(model)
+        assert design.h < 0
+        report = verify_consensus(model, design, trials=3, seed=4)
+        assert [r.seed for r in report] == [4, 5, 6]
+        assert not any(r.passed for r in report)
+        assert all(r.note == f"non-contracting design: h={design.h:.6g} <= 0" for r in report)
+        assert all(math.isnan(r.empirical_factor) for r in report)
+        with pytest.raises(ParameterError):
+            run_consensus(model, design.h, uniform_vector(4, 12), 10, 1e-9)
+
+    def test_non_contracting_design_cli_exit_0(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_spectra.cli", "verify", "--model", "rnearest:n=12,r=5,a=0.9"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report and not any(entry["pass"] for entry in report)
+        assert all(entry["note"].startswith("non-contracting design: h=") for entry in report)
 
     def test_deterministic_given_seed(self):
         model = ring(12, 0.2)
