@@ -18,9 +18,10 @@ recording whether it equals the pipeline rate, the pipeline rate minus
 one, or neither.  Known quirks of the catalog (literal 0.16
 coefficients in the odd-odd torus entry, the squared asymmetry
 coefficient in the r-nearest entries being read as a**2) are preserved
-as-is so that deviations stay visible.  Each model's pair is selected
-once and shared by the pipeline, the catalog's reconciliation and
-``closed_design``.
+as-is so that deviations stay visible.  The pipeline, the catalog's
+reconciliation and ``closed_design`` read the same pair: the closed
+form's candidates are selected once per topology, and a model's a only
+picks among them.
 
 ``minimax_h`` is an independent oracle: it minimizes the worst modulus
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
@@ -32,7 +33,6 @@ vertex's own minimizer or the crossing of two active vertices.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -119,16 +119,6 @@ def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> Consens
     return ConsensusDesign(h=h, gamma=gamma, rate=1.0 - gamma, method=method, extremal=pair)
 
 
-# The per-(model, source) summary: the extremal pair, selected from the
-# per-dimension factors.  The pipeline, the catalog's reconciliation and
-# closed design, minimax's extremal field and every sweep row's symmetric
-# rate read it, so a model's pair is computed once however many of them
-# ask.  128 entries hold a figure's symmetric models with room to spare;
-# a degenerate model raises, and exceptions are not cached.  Callers
-# validate first: an invalid model can equal a valid one (a=True == 1).
-_extremal = functools.lru_cache(maxsize=128)(factor_extremal_pair)
-
-
 def design_pipeline(
     model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
 ) -> ConsensusDesign:
@@ -136,7 +126,7 @@ def design_pipeline(
 
     This is the reference every closed-form entry is checked against.
     """
-    return _pair_solve(_extremal(validate(model), source))
+    return _pair_solve(factor_extremal_pair(model, source))
 
 
 def _pair_solve(pair: ExtremalPair) -> ConsensusDesign:
@@ -425,9 +415,8 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     """
     case, h_entry, R_entry, args = _catalog_entry(model)
     # the pipeline runs first, so a degenerate model raises DegenerateError
-    # before an entry is evaluated outside its domain; the lookup has
-    # validated the model
-    pipeline = _pair_solve(_extremal(model, SpectrumSource.CLOSED_FORM))
+    # before an entry is evaluated outside its domain
+    pipeline = _pair_solve(factor_extremal_pair(model))
     if R_entry is None:
         printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
     else:
@@ -442,7 +431,7 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     deviating catalog entry shows up as a gamma unlike the pipeline's.
     """
     h = closed_form_h(model)
-    return _on_slow_mode(h, _extremal(model, SpectrumSource.CLOSED_FORM), DesignMethod.CLOSED_FORM)
+    return _on_slow_mode(h, factor_extremal_pair(model), DesignMethod.CLOSED_FORM)
 
 
 def _convex_hull(z: np.ndarray) -> np.ndarray:
@@ -517,11 +506,11 @@ def _hull_positions(spectrum: Spectrum) -> np.ndarray:
 
 
 def _pair_of(spectrum: Spectrum) -> ExtremalPair:
-    """The spectrum's extremal pair from its model's summary, or from a
+    """The spectrum's extremal pair from its model's factors, or from a
     scan when the spectrum does not hold its model's values there (the
     spectrum of a standalone circulant row carries a placeholder ring
     model)."""
-    pair = _extremal(spectrum.model, spectrum.source)
+    pair = factor_extremal_pair(spectrum.model, spectrum.source)
     for ev in (pair.lambda_s, pair.lambda_l):
         if spectrum.values[np.ravel_multi_index(ev.index, spectrum.shape)] != ev.value:
             return extremal_pair(spectrum)
@@ -546,8 +535,8 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
     search runs.
 
-    The ``extremal`` field is the spectrum's pair, read from its model's
-    summary (see ``_pair_of``).
+    The ``extremal`` field is the spectrum's pair, selected from its
+    model's factors (see ``_pair_of``).
     """
     values = spectrum.values
     if len(values) < 2:

@@ -11,8 +11,11 @@ identical traces.
 The structured step allocates nothing per step: its buffers and the
 double-buffered state are allocated once per run.  A torus shift is a
 flat contiguous copy by the axis stride whose wrap slab in each block is
-then overwritten; the window sums run on a padded copy of the deviation.
-Each step does the float operations of the allocating expressions
+then overwritten; the window sums run on a padded copy of the deviation
+from the state's mean, which each step takes once for the averages and
+the next step alike.  The error is taken in a spent buffer, so a run
+holds four state-sized vectors on a torus.  Each step does the float
+operations of the allocating expressions
 ``x - h * (degree * x + fw * roll(x, -1) + bw * roll(x, 1) + ...)`` and
 ``r * d + fw * ahead + bw * behind`` in the same order, so its traces
 are bit-identical to theirs.
@@ -95,7 +98,9 @@ def uniform_vector(seed: int, size: int) -> np.ndarray:
 
 
 def _structured_apply_L(model: NetworkModel):
-    """Return x -> L @ x without materializing L.
+    """Return (x, mean) -> L @ x without materializing L, where mean is
+    x's mean, ``np.add.reduce(x) / n`` (the r-nearest windows run over
+    the deviation from it; the torus step does not read it).
 
     The buffers are allocated once, here: each call overwrites and
     returns the same output array, so a caller keeps the result only
@@ -116,13 +121,13 @@ def _structured_apply_L(model: NetworkModel):
         # once r * d is in out, pad is free: its head holds the windows
         window = pad[:n]
 
-        def apply(x):
+        def apply(x, mean):
             # L @ 1 = 0, so work on the deviation: the prefix sums then
             # stay near the size of the fluctuations, not of the mean
-            np.subtract(x, x.mean(), out=d)
+            np.subtract(x, mean, out=d)
             pad[:r] = pad[n : n + r]
             pad[n + r :] = pad[r : 2 * r]
-            np.cumsum(pad, out=c[1:])
+            np.add.accumulate(pad, out=c[1:])
             np.multiply(d, float(r), out=out)
             # d[i] sits at padded position i + r; the forward window is
             # d[i+1 .. i+r], the backward window d[i-r .. i-1]
@@ -147,7 +152,7 @@ def _structured_apply_L(model: NetworkModel):
         stride //= k
         blocks.append((stride, k * stride, buf.reshape(-1, k * stride)))
 
-    def apply(x):
+    def apply(x, mean):
         np.multiply(x, degree, out=out)
         for s, block, shifted in blocks:
             grid = x.reshape(-1, block)
@@ -196,36 +201,43 @@ def run_consensus(
     if dense:
         lap = dense_laplacian(model, cap=cap).values
 
-        def apply_L(v):
+        def apply_L(v, mean):
             return lap @ v
 
     else:
         apply_L = _structured_apply_L(model)
 
-    target = x.mean()
+    # x.mean(), the same pairwise sum and division without the wrapper;
+    # the state's mean is taken once per step and read by both the
+    # averages and the next step
+    n = model.order
+    mean = np.add.reduce(x) / n
+    target = mean
     nxt = np.empty_like(x)
-    e = np.empty_like(x)
 
-    def error_norm(v) -> float:
+    def error_norm(v, e) -> float:
         # the 2-norm exactly as np.linalg.norm computes it for a 1-D float
-        # array, sqrt(e . e), without its temporary
+        # array, sqrt(e . e), in a state-sized buffer whose contents are spent
         np.subtract(v, target, out=e)
         return math.sqrt(e.dot(e))
 
-    errors = [error_norm(x)]
-    averages = [float(x.mean())]
+    # nxt is written before it is read, and a step is spent once it has
+    # been subtracted, so each lends its memory to the error
+    errors = [error_norm(x, nxt)]
+    averages = [float(mean)]
     initial_error = errors[0]
     converged = errors[0] <= tolerance
     steps = 0
     while not converged and steps < max_steps:
-        step = apply_L(x)
+        step = apply_L(x, mean)
         np.multiply(step, h, out=step)
         np.subtract(x, step, out=nxt)
         x, nxt = nxt, x
         steps += 1
-        err = error_norm(x)
+        err = error_norm(x, step)
+        mean = np.add.reduce(x) / n
         errors.append(err)
-        averages.append(float(x.mean()))
+        averages.append(float(mean))
         if err > _DIVERGENCE_FACTOR * max(initial_error, 1e-300):
             raise DivergenceError(
                 f"error norm {err:.3e} exceeded {_DIVERGENCE_FACTOR:.0e} x initial after {steps} steps"

@@ -14,8 +14,10 @@ Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index, and extremal selection looks for the smallest and
 largest real parts.  ``extremal_pair`` scans a full spectrum;
 ``factor_extremal_pair`` selects the same pair per factor, without
-building the N eigenvalues.  Real parts are independent of the
-asymmetric factor a; imaginary parts scale linearly in it.
+building the N eigenvalues.  Closed-form real parts are independent of
+the asymmetric factor a, and each factor's imaginary part is a times an
+a-free sine sum, so the candidates for the pair are selected once per
+topology and a decides only the |imaginary part| tie-break among them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import enum
 import json
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -121,15 +123,15 @@ def circulant_spectrum(row: CirculantRow) -> Spectrum:
     return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
 
 
-def _closed_ring_values(j: np.ndarray, n: int, a: float) -> np.ndarray:
+def _closed_ring_parts(j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     angle = 2.0 * np.pi * j / n
-    return 1.0 - np.cos(angle) + 1j * a * np.sin(angle)
+    return 1.0 - np.cos(angle), np.sin(angle)
 
 
-def _closed_rnearest_values(j: np.ndarray, n: int, r: int, a: float) -> np.ndarray:
+def _closed_rnearest_parts(j: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     k = np.arange(1, r + 1)[None, :]
     angle = 2.0 * np.pi * j[:, None] * k / n
-    return r - np.cos(angle).sum(axis=1) + 1j * a * np.sin(angle).sum(axis=1)
+    return r - np.cos(angle).sum(axis=1), np.sin(angle).sum(axis=1)
 
 
 def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
@@ -141,12 +143,19 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     return reduce(outer_sum, per_dim)
 
 
+def _closed_parts(kind: Kind, shape: tuple[int, ...], r, per_dim) -> list[tuple]:
+    """Closed-form (real part, sine sum) of each per-dimension factor at
+    the per-dimension index arrays (an r-nearest ring is one factor, a
+    ring the 1-torus's one factor).  Neither depends on a."""
+    if kind is Kind.R_NEAREST_RING:
+        return [_closed_rnearest_parts(per_dim[0], shape[0], r)]
+    return [_closed_ring_parts(j, k) for j, k in zip(per_dim, shape)]
+
+
 def _closed_factors(model: NetworkModel, per_dim: list[np.ndarray]) -> list[np.ndarray]:
-    """Closed-form per-dimension factors at the per-dimension index arrays
-    (an r-nearest ring is one factor, a ring the 1-torus's one factor)."""
-    if model.kind is Kind.R_NEAREST_RING:
-        return [_closed_rnearest_values(per_dim[0], model.n, model.r, model.a)]
-    return [_closed_ring_values(j, k, model.a) for j, k in zip(per_dim, model.shape)]
+    """Closed-form per-dimension factors: real part + (1j * a) * sine sum."""
+    parts = _closed_parts(model.kind, model.shape, model.r, per_dim)
+    return [re + 1j * model.a * s for re, s in parts]
 
 
 def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
@@ -242,31 +251,25 @@ def _checked_pair(lam_s: ComplexEigenvalue, lam_l: ComplexEigenvalue) -> Extrema
     return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
 
 
-def factor_extremal_pair(
-    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
-) -> ExtremalPair:
-    """``extremal_pair(full_spectrum(model, source))``, bit for bit, from
-    the per-dimension factors alone: O(sum of the sides), not O(N).
+def _candidates(parts: list[tuple]) -> tuple[tuple, tuple]:
+    """The candidates for lambda_s and for lambda_l: every nonzero index
+    tuple whose composed real part lies within the tie tolerance of the
+    nonzero minimum (maximum), in flat index order, each as (index, real
+    part, per-dimension terms).  ``parts`` holds each factor's real parts
+    and the array its terms are read from.
 
     Float addition is monotone, so a composed real part can lie within
-    the tie tolerance of the nonzero minimum only if each component
-    does with every other dimension held at its own minimum (and
-    likewise for the maximum).  The product of those few per-dimension
-    candidates is composed in ``_compose_cartesian`` order, which
-    reproduces every value and the flat index order, and
-    ``extremal_pair``'s tie rules pick from it.  A ring or an r-nearest
-    ring is its own single factor and is scanned directly.
+    the tolerance of the extreme only if each component does with every
+    other dimension held at its own extreme.  The product of those few
+    per-dimension candidates is composed in ``_compose_cartesian`` order,
+    which reproduces every real part and the flat index order.
     """
-    validate(model)
-    factors = _factors(model, source)
-    if len(factors) == 1:
-        return extremal_pair(Spectrum(model=model, values=factors[0], source=source))
 
-    def pick(sign: float) -> ComplexEigenvalue:
+    def side(sign: float) -> tuple:
         # sign 1 selects the smallest nonzero real part, sign -1 the
         # largest; negation is exact, so every sum and threshold is the
         # negation of the one extremal_pair computes
-        re = [sign * f.real for f in factors]
+        re = [sign * p[0] for p in parts]
         low_nz = [float(r[1:].min()) for r in re]
         low = [min(float(r[0]), v) for r, v in zip(re, low_nz)]
 
@@ -278,20 +281,76 @@ def factor_extremal_pair(
         # a nonzero index tuple has a nonzero component in some dimension d
         limit = min(held(d, v) for d, v in enumerate(low_nz)) + _RE_TIE_TOL
         cands = [np.flatnonzero(held(d, r) <= limit) for d, r in enumerate(re)]
-        values = _compose_cartesian([f[c] for f, c in zip(factors, cands)])
-        keep = sign * values.real <= limit
+        values = _compose_cartesian([p[0][c] for p, c in zip(parts, cands)])
+        keep = sign * values <= limit
         # the all-zeros index, first when every candidate set holds it, is
         # the consensus eigenvalue
         keep[0] &= any(c[0] for c in cands)
-        im_abs = np.abs(values.imag)
-        best_im = im_abs[keep].max()
-        first = int(np.argmax(keep & (im_abs >= best_im - _RE_TIE_TOL)))
-        at = np.unravel_index(first, [len(c) for c in cands])
-        v = values[first]
-        index = tuple(int(c[i]) for c, i in zip(cands, at))
-        return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=index)
+        at = np.unravel_index(np.flatnonzero(keep), [len(c) for c in cands])
+        index = [c[i].tolist() for c, i in zip(cands, at)]
+        terms = [p[1][i].tolist() for p, i in zip(parts, index)]
+        return tuple(zip(zip(*index), values[keep].tolist(), zip(*terms)))
 
-    return _checked_pair(pick(1.0), pick(-1.0))
+    return side(1.0), side(-1.0)
+
+
+@lru_cache(maxsize=1024)
+def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tuple]:
+    """The closed form's candidates of one topology, with each factor's
+    sine sum as its term.  Real parts and sine sums do not depend on a,
+    so every a reuses them.  1024 entries hold the acceptance grid's 361
+    topologies and a figure's handful with room to spare; callers
+    validate first (an invalid model's fields can equal a valid one's)."""
+    return _candidates(_closed_parts(kind, shape, r, [np.arange(k) for k in shape]))
+
+
+def _pick(side: tuple, term) -> ComplexEigenvalue:
+    """``extremal_pair``'s tie rule on one side's candidates: the largest
+    |imaginary part| within the tolerance, then the smallest flat index.
+    ``term`` maps a stored term to its factor's imaginary part; a
+    candidate's imaginary part is their sum in ``_compose_cartesian``
+    order."""
+    ims = []
+    for _, _, terms in side:
+        im = term(terms[0])
+        for t in terms[1:]:
+            im += term(t)
+        ims.append(im)
+    k = 0
+    if len(ims) > 1:
+        floor = max(map(abs, ims)) - _RE_TIE_TOL
+        while abs(ims[k]) < floor:
+            k += 1
+    index, re, _ = side[k]
+    return ComplexEigenvalue(re=re, im=float(ims[k]), index=index)
+
+
+def factor_extremal_pair(
+    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
+) -> ExtremalPair:
+    """``extremal_pair(full_spectrum(model, source))``, bit for bit, from
+    the per-dimension factors alone: O(sum of the sides), not O(N).
+
+    The candidates (``_candidates``) come from the real parts; the pick
+    among them costs O(candidates).  Closed-form real parts do not depend
+    on a and each factor's imaginary part is 0.0 + a * (its sine sum), so
+    a topology's candidates are selected once, and a enters only at the
+    pick.  The oracle's real parts move with a in their last bits, so it
+    selects its candidates on every call, with the factors' own imaginary
+    parts as terms.
+    """
+    validate(model)
+    if source is SpectrumSource.CLOSED_FORM:
+        sides = _closed_candidates(model.kind, model.shape, model.r)
+        a = model.a
+
+        def term(s):
+            return 0.0 + a * s
+
+    else:
+        sides = _candidates([(f.real, f.imag) for f in _factors(model, source)])
+        term = float  # the stored imaginary part itself, -0.0 included
+    return _checked_pair(*(_pick(side, term) for side in sides))
 
 
 # --- export -------------------------------------------------------------------

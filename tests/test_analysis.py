@@ -16,7 +16,7 @@ from consensus_spectra import (
     torus,
     write_figure,
 )
-from consensus_spectra import design
+from consensus_spectra import spectral
 from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -140,14 +140,14 @@ class TestFigureDatasets:
         assert rows_to_csv(figure_dataset(figure_id).rows).encode() == expected
 
     @pytest.mark.parametrize("figure_id", [3, 5, 7])
-    def test_one_pair_selection_per_model(self, figure_id):
-        # each row's symmetric rate reads the same per-model summary as
-        # the row's own design, so a figure selects one pair per distinct
-        # model, however many rows share a topology
-        design._extremal.cache_clear()
+    def test_one_candidate_selection_per_topology(self, figure_id):
+        # every a of a topology, each row's symmetric rate included, picks
+        # from the same candidates, so a figure selects them once per
+        # distinct topology, however many rows share it
+        spectral._closed_candidates.cache_clear()
         rows = figure_dataset(figure_id).rows
-        models = {(row.kind, row.n, row.r, row.dims, a) for row in rows for a in (row.a, 0.0)}
-        assert design._extremal.cache_info().misses == len(models)
+        topologies = {(row.kind, row.n, row.r, row.dims) for row in rows}
+        assert spectral._closed_candidates.cache_info().misses == len(topologies)
 
     def test_unknown_figure(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from consensus_spectra import (
     solve_h_pair,
     torus,
 )
-from consensus_spectra import design
+from consensus_spectra import spectral
 from consensus_spectra.design import (
     _h_ring_even,
     _h_ring_odd,
@@ -242,14 +242,15 @@ class TestClosedFormR:
 
 
 class TestPerModelSummary:
-    """Each (model, source) pair is selected once and shared; repr compares
-    every field exactly, NaN and the sign of zero included."""
+    """Each topology's closed-form candidates are selected once and shared
+    by every a and every caller; repr compares every field exactly, NaN and
+    the sign of zero included."""
 
     def test_warm_closed_form_R_equals_cold(self):
         for _, model, _, _ in CATALOG_WIRING:  # one model per catalog case
-            design._extremal.cache_clear()
+            spectral._closed_candidates.cache_clear()
             cold = closed_form_R(model)
-            design._extremal.cache_clear()
+            spectral._closed_candidates.cache_clear()
             design_pipeline(model)
             warm = closed_form_R(model)
             assert repr(warm) == repr(cold), model
@@ -258,7 +259,7 @@ class TestPerModelSummary:
     def test_sources_do_not_alias(self, first):
         # the two routes' pairs of a 7-ring differ in their last bits
         model = ring(7, 0.3)
-        design._extremal.cache_clear()
+        spectral._closed_candidates.cache_clear()
         designs = {first: design_pipeline(model, first)}
         for source in SpectrumSource:
             designs.setdefault(source, design_pipeline(model, source))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 
@@ -23,6 +24,7 @@ from consensus_spectra import (
     spectrum_to_json,
     torus,
 )
+from consensus_spectra import spectral
 from conftest import A_GRID, grid_models
 
 
@@ -318,6 +320,56 @@ class TestFactorExtremalPair:
             assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
                 lambda: extremal_pair(full_spectrum(model, source))
             )
+
+
+# a = 0 and 1, and two values at which every |Im| difference falls under
+# the 1e-9 tie tolerance, so the pick falls back to the smallest index
+TIE_A = (0.0, 1e-12, 1e-10, 1.0)
+
+
+@st.composite
+def topologies(draw):
+    """A ring (up to 3e5 nodes, where the real parts within 1e-9 of an
+    extreme span several indices), an r-nearest ring down to n = 2r + 2,
+    or a 2- to 5-D torus; its a is replaced by each caller."""
+    kind = draw(st.sampled_from(["ring", "rnearest", "torus"]))
+    if kind == "ring":
+        return ring(draw(st.one_of(st.integers(3, 64), st.integers(3, 300_000))))
+    if kind == "rnearest":
+        r = draw(st.integers(1, 12))
+        span = draw(st.sampled_from([10, 5_000]))
+        return r_nearest_ring(draw(st.integers(2 * r + 2, 2 * r + 2 + span)), r)
+    return draw(tori_with_a_long_side())
+
+
+class TestPickPerA:
+    """A topology's candidates are selected once; each a picks among them
+    with extremal_pair's tie rule, and no pick outlives its a."""
+
+    @given(topologies(), st.sampled_from(list(SpectrumSource)))
+    @settings(max_examples=40, deadline=None)
+    def test_every_a_matches_the_scan(self, topology, source):
+        for a in TIE_A:
+            model = dataclasses.replace(topology, a=a)
+            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
+                lambda: extremal_pair(full_spectrum(model, source))
+            ), a
+
+    @given(topologies(), st.sampled_from(TIE_A), st.sampled_from(TIE_A))
+    @settings(max_examples=40, deadline=None)
+    def test_warm_topology_at_a_second_a_equals_cold(self, topology, first, second):
+        model = dataclasses.replace(topology, a=second)
+        spectral._closed_candidates.cache_clear()
+        cold = pair_bits(lambda: factor_extremal_pair(model))
+        spectral._closed_candidates.cache_clear()
+        pair_bits(lambda: factor_extremal_pair(dataclasses.replace(topology, a=first)))
+        assert pair_bits(lambda: factor_extremal_pair(model)) == cold
+
+    def test_a_decides_the_tie_break(self):
+        # ring(300_000) has lambda_s candidates j = 1, 2, n - 2, n - 1; at
+        # a = 1 their |Im| differ by more than the tolerance and j = 2 wins
+        picks = {a: factor_extremal_pair(ring(300_000, a)).lambda_s.index for a in TIE_A}
+        assert picks == {0.0: (1,), 1e-12: (1,), 1e-10: (1,), 1.0: (2,)}
 
 
 class TestExports:
