@@ -13,12 +13,12 @@ import consensus_spectra as cs
 
 model = cs.ring(4, a=0.5)
 print(f"model: {cs.format_model(model)}")
-print(f"Laplacian first row: {cs.circulant_row(model).entries}")
+print(f"Laplacian first row: {cs.circulant_row(model)}")
 
 spectrum = cs.full_spectrum(model)
 print("\neigenvalues (index, value):")
-for ev in spectrum:
-    print(f"  j={ev.index[0]}: {ev.value:.6f}")
+for j, value in enumerate(spectrum.values):
+    print(f"  j={j}: {value:.6f}")
 
 pair = cs.extremal_pair(spectrum)
 print(f"\nextremal pair: lambda_s = {pair.lambda_s.value}, lambda_l = {pair.lambda_l.value}")

@@ -67,8 +67,6 @@ from .spectral import (
 )
 from .topology import (
     DEFAULT_DENSE_CAP,
-    CirculantRow,
-    DenseLaplacian,
     Kind,
     NetworkModel,
     circulant_row,

@@ -44,7 +44,6 @@ from .spectral import (
     ExtremalPair,
     Spectrum,
     SpectrumSource,
-    extremal_pair,
     factor_extremal_pair,
     full_spectrum,
 )
@@ -505,18 +504,6 @@ def _hull_positions(spectrum: Spectrum) -> np.ndarray:
     return positions[_convex_hull(spectrum.values[positions])]
 
 
-def _pair_of(spectrum: Spectrum) -> ExtremalPair:
-    """The spectrum's extremal pair from its model's factors, or from a
-    scan when the spectrum does not hold its model's values there (the
-    spectrum of a standalone circulant row carries a placeholder ring
-    model)."""
-    pair = factor_extremal_pair(spectrum.model, spectrum.source)
-    for ev in (pair.lambda_s, pair.lambda_l):
-        if spectrum.values[np.ravel_multi_index(ev.index, spectrum.shape)] != ev.value:
-            return extremal_pair(spectrum)
-    return pair
-
-
 def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     """Minimize the worst contraction modulus over all nonzero eigenvalues.
 
@@ -535,8 +522,10 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
     search runs.
 
-    The ``extremal`` field is the spectrum's pair, selected from its
-    model's factors (see ``_pair_of``).
+    The ``extremal`` field is the pair of ``spectrum.model`` under
+    ``spectrum.source``, read from the model's factors
+    (``factor_extremal_pair``), not from the values; None when the pair
+    is degenerate.
     """
     values = spectrum.values
     if len(values) < 2:
@@ -565,7 +554,7 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
     try:
-        pair = _pair_of(spectrum)
+        pair = factor_extremal_pair(spectrum.model, spectrum.source)
     except DegenerateError:
         pair = None
     return ConsensusDesign(

@@ -169,6 +169,13 @@ def _structured_apply_L(model: NetworkModel):
     return apply
 
 
+def _check_window(window: int) -> None:
+    # window = 0 would fail in numpy and a negative one would silently
+    # average over the wrong slice of ratios
+    if window < 1:
+        raise ParameterError(f"window must be at least 1, got window={window}")
+
+
 def run_consensus(
     model: NetworkModel,
     h: float,
@@ -189,6 +196,7 @@ def run_consensus(
     initial value, which signals a non-contracting weight matrix.
     """
     validate(model)
+    _check_window(window)
     # a copy: the state is double-buffered in place and x0 is never written
     x = np.array(x0, dtype=float)
     if x.shape != (model.order,):
@@ -199,7 +207,7 @@ def run_consensus(
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
 
     if dense:
-        lap = dense_laplacian(model, cap=cap).values
+        lap = dense_laplacian(model, cap=cap)
 
         def apply_L(v, mean):
             return lap @ v
@@ -272,6 +280,7 @@ def empirical_contraction(trace: SimulationTrace, window: int) -> float:
     individual ratios oscillate; over a long run the estimate settles
     on the largest contraction modulus of the iteration.
     """
+    _check_window(window)
     usable = np.count_nonzero(trace.error_norms > 0.0)
     if usable < window + 1:
         raise InsufficientDataError(
@@ -308,6 +317,7 @@ def verify_consensus(
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
+    _check_window(window)
     results = []
     gamma = design.gamma
     for trial in range(trials):

@@ -31,14 +31,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DegenerateError
-from .topology import (
-    CirculantRow,
-    Kind,
-    NetworkModel,
-    circulant_row,
-    ring,
-    validate,
-)
+from .topology import Kind, NetworkModel, circulant_row, ring, validate
 
 
 class SpectrumSource(enum.Enum):
@@ -67,8 +60,8 @@ class Spectrum:
 
     Values are stored as a flat complex array in mixed-radix index
     order (dimension 1 slowest), so flat position 0 is always the
-    consensus eigenvalue.  ``eigenvalues`` materializes record objects
-    and is meant for small models; numeric code should use ``values``.
+    consensus eigenvalue.  ``full_spectrum`` builds every spectrum, so
+    the values are always those of ``model`` under ``source``.
     """
 
     model: NetworkModel
@@ -86,15 +79,8 @@ class Spectrum:
         v = self.values[pos]
         return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=self.index_tuple(pos))
 
-    @property
-    def eigenvalues(self) -> tuple[ComplexEigenvalue, ...]:
-        return tuple(self.eigenvalue(p) for p in range(len(self.values)))
-
     def __len__(self) -> int:
         return len(self.values)
-
-    def __iter__(self):
-        return (self.eigenvalue(p) for p in range(len(self.values)))
 
 
 @dataclass(frozen=True)
@@ -105,27 +91,16 @@ class ExtremalPair:
     lambda_l: ComplexEigenvalue
 
 
-def circulant_spectrum(row: CirculantRow) -> Spectrum:
-    """Spectrum of a circulant matrix as the DFT of its first row.
+def circulant_spectrum(row: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a circulant matrix as the DFT of its first row.
 
-    Eigenvalue j is sum over l of entries[l] * w**(l*j) with
+    Eigenvalue j is sum over l of row[l] * w**(l*j) with
     w = exp(2*pi*i/n).  This is the oracle route: it deliberately
     avoids every closed form in this module.
     """
-    entries = row.entries
-    n = row.order
     # numpy's ifft carries the positive exponent (and a 1/n factor), so
     # index j lands on w**(l*j); fft would give the conjugate at index -j
-    values = n * np.fft.ifft(entries)
-    # model is reconstructed by the callers that have one; standalone rows
-    # get a ring-shaped placeholder carrying only the order
-    model = NetworkModel(kind=Kind.RING, a=0.0, n=n)
-    return Spectrum(model=model, values=values, source=SpectrumSource.DFT_ORACLE)
-
-
-def _closed_ring_parts(j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    angle = 2.0 * np.pi * j / n
-    return 1.0 - np.cos(angle), np.sin(angle)
+    return len(row) * np.fft.ifft(row)
 
 
 def _closed_rnearest_parts(j: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +121,11 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
 def _closed_parts(kind: Kind, shape: tuple[int, ...], r, per_dim) -> list[tuple]:
     """Closed-form (real part, sine sum) of each per-dimension factor at
     the per-dimension index arrays (an r-nearest ring is one factor, a
-    ring the 1-torus's one factor).  Neither depends on a."""
+    ring the 1-torus's one factor, and each torus side a ring, the r = 1
+    r-nearest factor).  Neither depends on a."""
     if kind is Kind.R_NEAREST_RING:
         return [_closed_rnearest_parts(per_dim[0], shape[0], r)]
-    return [_closed_ring_parts(j, k) for j, k in zip(per_dim, shape)]
+    return [_closed_rnearest_parts(j, k, 1) for j, k in zip(per_dim, shape)]
 
 
 def _closed_factors(model: NetworkModel, per_dim: list[np.ndarray]) -> list[np.ndarray]:
@@ -169,8 +145,8 @@ def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
     if source is SpectrumSource.CLOSED_FORM:
         return _closed_factors(model, [np.arange(k) for k in model.shape])
     if model.kind is Kind.R_NEAREST_RING:
-        return [circulant_spectrum(circulant_row(model)).values]
-    return [circulant_spectrum(circulant_row(ring(k, model.a))).values for k in model.shape]
+        return [circulant_spectrum(circulant_row(model))]
+    return [circulant_spectrum(circulant_row(ring(k, model.a))) for k in model.shape]
 
 
 def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
@@ -356,22 +332,21 @@ def factor_extremal_pair(
 # --- export -------------------------------------------------------------------
 
 
-def _index_text(index: tuple[int, ...]) -> str:
-    return "|".join(str(c) for c in index)
+def _rows(spectrum: Spectrum):
+    """(index components, real part, imaginary part) of every flat
+    position, as Python ints and floats."""
+    shape = spectrum.shape
+    index = np.indices(shape).reshape(len(shape), -1).T.tolist()
+    return zip(index, spectrum.values.real.tolist(), spectrum.values.imag.tolist())
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """Semicolon CSV with columns index;re;im (multi-indices joined by |)."""
     lines = ["index;re;im"]
-    for pos in range(len(spectrum)):
-        ev = spectrum.eigenvalue(pos)
-        lines.append(f"{_index_text(ev.index)};{ev.re!r};{ev.im!r}")
+    lines += [f"{'|'.join(map(str, i))};{re!r};{im!r}" for i, re, im in _rows(spectrum)]
     return "\n".join(lines) + "\n"
 
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
-    records = [
-        {"index": list(ev.index), "re": ev.re, "im": ev.im}
-        for ev in spectrum
-    ]
+    records = [{"index": i, "re": re, "im": im} for i, re, im in _rows(spectrum)]
     return json.dumps(records, indent=2) + "\n"

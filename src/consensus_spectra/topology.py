@@ -157,36 +157,9 @@ def validate(model: NetworkModel) -> NetworkModel:
     return model
 
 
-@dataclass(frozen=True)
-class CirculantRow:
-    """First row of a circulant matrix; generates the whole matrix by
-    cyclic shifts.  Entries sum to zero (Laplacian row sums)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
-class DenseLaplacian:
-    """Materialized Laplacian with node index i mapped to matrix row i.
-
-    Row sums and column sums are both zero, which is what makes the
-    consensus iteration average-preserving.
-    """
-
-    order: int
-    values: np.ndarray
-
-
-def circulant_row(model: NetworkModel) -> CirculantRow:
-    """First Laplacian row for the 1-D families.
+def circulant_row(model: NetworkModel) -> np.ndarray:
+    """First Laplacian row for the 1-D families; its cyclic shifts are
+    the whole matrix and its entries sum to zero.
 
     Offset +1 (next index mod n) carries the forward weight (1 - a) / 2,
     offset -1 the backward weight (1 + a) / 2; the Laplacian negates
@@ -201,7 +174,7 @@ def circulant_row(model: NetworkModel) -> CirculantRow:
     row[0] = float(r)
     row[1 : r + 1] = (-1.0 + a) / 2.0
     row[n - r : n] = (-1.0 - a) / 2.0
-    return CirculantRow(entries=row)
+    return row
 
 
 def _circulant_matrix(row: np.ndarray) -> np.ndarray:
@@ -210,8 +183,10 @@ def _circulant_matrix(row: np.ndarray) -> np.ndarray:
     return row[idx]
 
 
-def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> DenseLaplacian:
-    """Materialize the full Laplacian matrix.
+def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+    """Materialize the full Laplacian matrix, node i at row i.  Row and
+    column sums are both zero, which makes the consensus iteration
+    average-preserving.
 
     1-D kinds expand their circulant row cyclically.  A torus is the
     Kronecker sum of ring Laplacians, one per dimension, all sharing the
@@ -225,11 +200,10 @@ def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> DenseL
     if model.kind is Kind.TORUS:
         mat = np.zeros((1, 1))
         for k in model.dims:
-            ring_lap = _circulant_matrix(circulant_row(ring(k, model.a)).entries)
+            ring_lap = _circulant_matrix(circulant_row(ring(k, model.a)))
             mat = np.kron(mat, np.eye(k)) + np.kron(np.eye(mat.shape[0]), ring_lap)
-        return DenseLaplacian(order=order, values=mat)
-    row = circulant_row(model)
-    return DenseLaplacian(order=order, values=_circulant_matrix(row.entries))
+        return mat
+    return _circulant_matrix(circulant_row(model))
 
 
 # --- model grammar -----------------------------------------------------------

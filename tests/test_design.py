@@ -16,8 +16,6 @@ from consensus_spectra import (
     ReconciliationTag,
     SpectrumSource,
     UnsupportedParityError,
-    circulant_row,
-    circulant_spectrum,
     closed_design,
     closed_form_R,
     closed_form_h,
@@ -271,12 +269,6 @@ class TestPerModelSummary:
         assert repr(closed_design(model).extremal) == repr(
             designs[SpectrumSource.CLOSED_FORM].extremal
         )
-
-    def test_standalone_row_spectrum_is_scanned(self):
-        # its model is a placeholder ring, whose pair is not the row's
-        for model in (r_nearest_ring(12, 2, 0.3), r_nearest_ring(20, 4, 0.9)):
-            spectrum = circulant_spectrum(circulant_row(model))
-            assert repr(minimax_h(spectrum).extremal) == repr(extremal_pair(spectrum))
 
     def test_degenerate_model_raises_on_every_call(self):
         for _ in range(3):

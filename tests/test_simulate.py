@@ -113,7 +113,7 @@ def reference_run(model, h, x0, max_steps, tolerance, dense=False):
     """The allocating consensus loop; returns (steps, error_norms,
     averages, empirical_factor, converged) or raises DivergenceError."""
     if dense:
-        lap = dense_laplacian(model).values
+        lap = dense_laplacian(model)
 
         def apply_L(v):
             return lap @ v
@@ -170,7 +170,7 @@ class TestStructuredApply:
         # entrywise comparison, unlike error norms, tells L from L^T
         x = 1e6 + uniform_vector(5, model.order)
         got = _structured_apply_L(model)(x, x.mean())
-        expected = dense_laplacian(model).values @ x
+        expected = dense_laplacian(model) @ x
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("model", _window_models(), ids=format_model)
@@ -181,7 +181,7 @@ class TestStructuredApply:
         x = 1e6 + uniform_vector(5, model.order)
         d = x - x.mean()
         got = _structured_apply_L(model)(x, x.mean())
-        expected = dense_laplacian(model).values @ d
+        expected = dense_laplacian(model) @ d
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(d)
 
 
@@ -416,6 +416,30 @@ class TestVerifyConsensus:
     def test_needs_trials(self):
         with pytest.raises(ParameterError):
             verify_consensus(ring(8, 0.0), design_pipeline(ring(8, 0.0)), trials=0, seed=1)
+
+
+@pytest.mark.parametrize("window", [0, -3])
+class TestWindowValidation:
+    """A window below 1 is a parameter error at each entry point, not a
+    numpy shape error (0) or a factor over the wrong slice (-3)."""
+
+    def test_run_consensus(self, window):
+        model = ring(8, 0.3)
+        with pytest.raises(ParameterError, match="window"):
+            run_consensus(model, design_pipeline(model).h, uniform_vector(1, 8), 20, 1e-12, window=window)
+
+    def test_empirical_contraction(self, window):
+        model = ring(8, 0.3)
+        trace = run_consensus(model, design_pipeline(model).h, uniform_vector(1, 8), 20, 1e-300)
+        with pytest.raises(ParameterError, match="window"):
+            empirical_contraction(trace, window)
+
+    @pytest.mark.parametrize("model", [ring(8, 0.3), r_nearest_ring(12, 5, 0.9)], ids=format_model)
+    def test_verify_consensus(self, window, model):
+        # the h < 0 design of the r-nearest ring runs no trial, so the
+        # check cannot be left to run_consensus
+        with pytest.raises(ParameterError, match="window"):
+            verify_consensus(model, design_pipeline(model), trials=1, seed=1, window=window)
 
 
 class TestTraceExport:

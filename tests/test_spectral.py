@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_spectra import (
-    CirculantRow,
     DegenerateError,
     SpectrumSource,
     circulant_row,
@@ -42,25 +41,25 @@ def conjugation_closed(values, tol=1e-9):
 class TestCirculantSpectrum:
     def test_ring4_asymmetric_first_eigenvalue(self):
         row = circulant_row(ring(4, 0.5))
-        spec = circulant_spectrum(row)
-        assert spec.values[1] == pytest.approx(1 + 0.5j, abs=1e-12)
-        assert spec.values[1] == pytest.approx(dft_by_hand(row.entries, 1), abs=1e-12)
+        values = circulant_spectrum(row)
+        assert values[1] == pytest.approx(1 + 0.5j, abs=1e-12)
+        assert values[1] == pytest.approx(dft_by_hand(row, 1), abs=1e-12)
 
     def test_zero_row_sum_gives_zero_mode(self):
         row = circulant_row(r_nearest_ring(10, 3, 0.7))
-        spec = circulant_spectrum(row)
-        assert abs(spec.values[0]) < 1e-12
+        values = circulant_spectrum(row)
+        assert abs(values[0]) < 1e-12
 
     def test_ring5_symmetric_real(self):
-        spec = circulant_spectrum(circulant_row(ring(5, 0.0)))
+        values = circulant_spectrum(circulant_row(ring(5, 0.0)))
         expected = 1 - math.cos(2 * math.pi / 5)
-        assert spec.values[1] == pytest.approx(expected, abs=1e-12)
-        assert abs(spec.values[1].imag) < 1e-12
+        assert values[1] == pytest.approx(expected, abs=1e-12)
+        assert abs(values[1].imag) < 1e-12
 
     def test_large_ring_matches_closed_form(self):
         # the oracle is O(n log n) and has no size cap
         model = ring(20000, 0.3)
-        values = circulant_spectrum(circulant_row(model)).values
+        values = circulant_spectrum(circulant_row(model))
         assert np.max(np.abs(values - closed_values(model))) <= 1e-9
 
     @given(
@@ -70,8 +69,7 @@ class TestCirculantSpectrum:
     def test_zero_sum_row_properties(self, tail):
         # force the zero row sum of a Laplacian-like circulant
         entries = np.array([-sum(tail)] + tail)
-        spec = circulant_spectrum(CirculantRow(entries=entries))
-        values = spec.values
+        values = circulant_spectrum(entries)
         scale = max(1.0, np.abs(entries).sum())
         assert abs(values[0]) < 1e-9 * scale
         # real first row: spectrum closed under conjugation
@@ -89,7 +87,7 @@ class TestCirculantSpectrum:
         # eigenvalue j must be sum_l entries[l] w**(l*j), not its
         # conjugate at index -j, which the closure and trace checks
         # above cannot tell apart
-        values = circulant_spectrum(CirculantRow(entries=np.array(entries))).values
+        values = circulant_spectrum(np.array(entries))
         tol = 1e-9 * sum(abs(e) for e in entries)
         for j in range(len(entries)):
             assert abs(values[j] - dft_by_hand(entries, j)) <= tol
@@ -99,7 +97,7 @@ class TestClosedEigenvalue:
     def test_matches_direct_summation(self):
         model = ring(4, 0.5)
         ev = closed_eigenvalue(model, 1)
-        oracle = dft_by_hand(circulant_row(model).entries, 1)
+        oracle = dft_by_hand(circulant_row(model), 1)
         assert ev.value == pytest.approx(oracle, abs=1e-12)
         assert ev.value == pytest.approx(1 + 0.5j, abs=1e-12)
 
@@ -110,7 +108,7 @@ class TestClosedEigenvalue:
     def test_rnearest_matches_oracle(self):
         model = r_nearest_ring(6, 2, 0.0)
         ev = closed_eigenvalue(model, 2)
-        oracle = dft_by_hand(circulant_row(model).entries, 2)
+        oracle = dft_by_hand(circulant_row(model), 2)
         assert ev.value == pytest.approx(oracle, abs=1e-12)
         assert ev.value == pytest.approx(3.0, abs=1e-12)
 
@@ -135,6 +133,26 @@ class TestClosedEigenvalue:
         for pos in range(len(spec)):
             ev = closed_eigenvalue(model, spec.index_tuple(pos))
             assert ev.value == spec.values[pos]
+
+
+def ring_factor_as_written(n, a):
+    """The ring's closed form as a separate expression:
+    1 - cos(2 pi j / n) + 1j * a * sin(2 pi j / n)."""
+    angle = 2.0 * np.pi * np.arange(n) / n
+    return (1.0 - np.cos(angle)) + 1j * a * np.sin(angle)
+
+
+class TestRingFactor:
+    """A ring side is the r = 1 r-nearest factor, bit for bit the ring's
+    own closed form."""
+
+    @pytest.mark.parametrize("n", list(range(3, 61)) + [65_537, 300_000])
+    def test_ring_and_torus_sides(self, n):
+        for a in (0.0, 0.3, 1.0):
+            factor = ring_factor_as_written(n, a)
+            assert full_spectrum(ring(n, a)).values.tobytes() == factor.tobytes()
+            composed = (factor[:, None] + ring_factor_as_written(3, a)[None, :]).ravel()
+            assert full_spectrum(torus((n, 3), a)).values.tobytes() == composed.tobytes()
 
 
 class TestFullSpectrum:
@@ -314,7 +332,7 @@ class TestFactorExtremalPair:
         # the oracle's index-0 value of the 89-ring is not exactly 0, so
         # the axis slices of a composed oracle grid are not its factors
         for a in A_GRID:
-            assert circulant_spectrum(circulant_row(ring(89, a))).values[0] != 0
+            assert circulant_spectrum(circulant_row(ring(89, a)))[0] != 0
             model = torus(dims, a)
             source = SpectrumSource.DFT_ORACLE
             assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
@@ -390,3 +408,41 @@ class TestExports:
         assert len(records) == 9
         assert records[0] == {"index": [0, 0], "re": 0.0, "im": 0.0}
         assert set(records[4]) == {"index", "re", "im"}
+
+
+def per_record_csv(spectrum):
+    """The CSV export as one record per eigenvalue, the reference for the
+    array-based serializer."""
+    lines = ["index;re;im"]
+    for pos in range(len(spectrum)):
+        ev = spectrum.eigenvalue(pos)
+        lines.append(f"{'|'.join(str(c) for c in ev.index)};{ev.re!r};{ev.im!r}")
+    return "\n".join(lines) + "\n"
+
+
+def per_record_json(spectrum):
+    evs = (spectrum.eigenvalue(pos) for pos in range(len(spectrum)))
+    records = [{"index": list(ev.index), "re": ev.re, "im": ev.im} for ev in evs]
+    return json.dumps(records, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("source", list(SpectrumSource))
+class TestExportsMatchPerRecord:
+    @pytest.mark.parametrize(
+        "model",
+        [ring(9, 0.3), r_nearest_ring(14, 3, 0.7), torus((3, 4, 5), 0.6)],
+        ids=lambda m: m.kind.value,
+    )
+    def test_byte_identical(self, model, source):
+        spectrum = full_spectrum(model, source)
+        assert spectrum_to_csv(spectrum) == per_record_csv(spectrum)
+        assert spectrum_to_json(spectrum) == per_record_json(spectrum)
+
+    def test_negative_zero_imaginary_parts(self, source):
+        # no model spectrum on the test grid holds a -0.0 imaginary part,
+        # so one is made by conjugation; the exports must keep its sign
+        spectrum = full_spectrum(ring(8, 0.5), source)
+        spectrum = dataclasses.replace(spectrum, values=spectrum.values.conj())
+        assert ";-0.0" in per_record_csv(spectrum)
+        assert spectrum_to_csv(spectrum) == per_record_csv(spectrum)
+        assert spectrum_to_json(spectrum) == per_record_json(spectrum)
