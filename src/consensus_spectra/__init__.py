@@ -10,7 +10,6 @@ simulate and verify it (simulate), and sweep parameter grids
 from .analysis import (
     FigureDataset,
     SweepRow,
-    absolute_error_curve,
     figure_dataset,
     rows_to_csv,
     rows_to_jsonl,
@@ -57,7 +56,6 @@ from .spectral import (
     Spectrum,
     SpectrumSource,
     circulant_spectrum,
-    closed_eigenvalue,
     closed_values,
     extremal_pair,
     factor_extremal_pair,

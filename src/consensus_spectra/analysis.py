@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .topology import Kind, NetworkModel, r_nearest_ring, ring, torus
+from .topology import NetworkModel, r_nearest_ring, ring, torus
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,6 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
     for combo in product(*(varying[k] for k in keys)):
         models.append(dataclasses.replace(template, **dict(zip(keys, combo))))
     return _evaluate_grid(models, method)
-
-
-def absolute_error_curve(kind: Kind, sizes, a: float, method: str = "pipeline") -> list[SweepRow]:
-    """Rows over ``sizes`` with the symmetric-minus-asymmetric rate gap."""
-    if not 0.0 < a <= 1.0:
-        raise ValueError(f"absolute error curve needs a in (0, 1], got {a}")
-    size_field = "dims" if kind is Kind.TORUS else "n"
-    return sweep(NetworkModel(kind=kind, a=a), {size_field: sizes}, method=method)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,19 @@ picks among them.
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
 is attained on the vertices of the spectrum's convex hull, built from
 the per-dimension factor hulls, and the minimizing h is an active
-vertex's own minimizer or the crossing of two active vertices.
+vertex's own minimizer or the crossing of two active vertices.  It too
+reads only the model's per-dimension factors (``spectral._factors``):
+``minimax_h(spectrum)`` takes the spectrum's model and source, not its
+values, and no design route builds a full spectrum.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -44,8 +49,9 @@ from .spectral import (
     ExtremalPair,
     Spectrum,
     SpectrumSource,
+    _compose_cartesian,
+    _factors,
     factor_extremal_pair,
-    full_spectrum,
 )
 from .topology import Kind, NetworkModel, validate
 
@@ -86,13 +92,7 @@ class ReconciledRate:
     case: str
 
 
-def _as_complex(lam) -> complex:
-    if isinstance(lam, ComplexEigenvalue):
-        return lam.value
-    return complex(lam)
-
-
-def solve_h_pair(lambda_s, lambda_l) -> float:
+def solve_h_pair(lambda_s: complex, lambda_l: complex) -> float:
     """Real nonzero solution of |1 - h*l_s| = |1 - h*l_l|.
 
     Expanding both squared moduli and cancelling the quadratic equation's
@@ -102,14 +102,12 @@ def solve_h_pair(lambda_s, lambda_l) -> float:
 
     which does not exist when the moduli coincide.
     """
-    ls = _as_complex(lambda_s)
-    ll = _as_complex(lambda_l)
-    den = abs(ll) ** 2 - abs(ls) ** 2
-    if abs(den) <= 1e-12 * max(1.0, abs(ll) ** 2):
+    den = abs(lambda_l) ** 2 - abs(lambda_s) ** 2
+    if abs(den) <= 1e-12 * max(1.0, abs(lambda_l) ** 2):
         raise DegenerateError(
-            f"|lambda_s| = |lambda_l| (= {abs(ls)!r}); equal-modulus equation has no nonzero solution"
+            f"|lambda_s| = |lambda_l| (= {abs(lambda_s)!r}); equal-modulus equation has no nonzero solution"
         )
-    return 2.0 * (ll.real - ls.real) / den
+    return 2.0 * (lambda_l.real - lambda_s.real) / den
 
 
 def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> ConsensusDesign:
@@ -125,11 +123,9 @@ def design_pipeline(
 
     This is the reference every closed-form entry is checked against.
     """
-    return _pair_solve(factor_extremal_pair(model, source))
-
-
-def _pair_solve(pair: ExtremalPair) -> ConsensusDesign:
-    return _on_slow_mode(solve_h_pair(pair.lambda_s, pair.lambda_l), pair, DesignMethod.PAIR_SOLVE)
+    pair = factor_extremal_pair(model, source)
+    h = solve_h_pair(pair.lambda_s.value, pair.lambda_l.value)
+    return _on_slow_mode(h, pair, DesignMethod.PAIR_SOLVE)
 
 
 # --- closed-form catalog ------------------------------------------------------
@@ -415,7 +411,7 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     case, h_entry, R_entry, args = _catalog_entry(model)
     # the pipeline runs first, so a degenerate model raises DegenerateError
     # before an entry is evaluated outside its domain
-    pipeline = _pair_solve(factor_extremal_pair(model))
+    pipeline = design_pipeline(model)
     if R_entry is None:
         printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
     else:
@@ -462,21 +458,26 @@ def _convex_hull(z: np.ndarray) -> np.ndarray:
     return np.concatenate(chains)
 
 
-def _hull_positions(spectrum: Spectrum) -> np.ndarray:
-    """Flat positions of the hull vertices of the nonzero eigenvalues.
+def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
+    """Values whose convex hull is that of the nonzero eigenvalues of the
+    Cartesian sum of ``factors`` (a ring or an r-nearest ring is one
+    factor).
 
-    The spectrum is the Cartesian sum of its per-dimension factors (a
-    ring or an r-nearest ring is one factor), read off the axis slices
-    through index 0.  The hull of a Cartesian sum is the Minkowski sum of
-    the factor hulls, whose boundary is the factor edges merged by angle.
-    The nonzero eigenvalues are the union over d of the sums whose
-    factor d skips its index 0, so each d gets one merge; the hull of the
-    stored values at the merged index tuples is the answer.
+    The hull of a Cartesian sum is the Minkowski sum of the factor
+    hulls, whose boundary is the factor edges merged by angle.  The
+    factor hulls are taken on the spectrum's axis slices through index
+    0: under the DFT oracle these differ from the raw factors by the
+    other factors' index-0 entries, a shift not exactly 0.  The nonzero
+    eigenvalues are the union over d of the sums whose factor d skips
+    its index 0, so each d gets one merge, and the merged index tuples'
+    values are composed from the raw factors in ``_compose_cartesian``
+    order, bit for bit the spectrum's entries.
     """
-    shape = spectrum.shape
-    m = len(shape)
-    grid = spectrum.values.reshape(shape)
-    factors = [grid[(0,) * d + (slice(None),) + (0,) * (m - d - 1)] for d in range(m)]
+    m = len(factors)
+    slices = [
+        _compose_cartesian([f if e == d else f[:1] for e, f in enumerate(factors)])
+        for d in range(m)
+    ]
 
     def polygon(f, positions):
         # counter-clockwise from the lowest vertex, so that the edge
@@ -488,50 +489,33 @@ def _hull_positions(spectrum: Spectrum) -> np.ndarray:
         angles = np.mod(np.angle(np.concatenate((z[1:], z[:1])) - z), 2 * np.pi)
         return positions, np.maximum.accumulate(angles)
 
-    full = [polygon(f, _convex_hull(f)) for f in factors]
-    nonzero = [polygon(f, _convex_hull(f[1:]) + 1) for f in factors]
-    tuples = [[] for _ in range(m)]
-    for d in range(m):
+    full = [polygon(f, _convex_hull(f)) for f in slices]
+    nonzero = [polygon(f, _convex_hull(f[1:]) + 1) for f in slices]
+
+    def merged(d):
         polygons = full[:d] + nonzero[d : d + 1] + full[d + 1 :]
         owner = np.concatenate([np.full(len(p), e) for e, (p, _) in enumerate(polygons)])
         owner = owner[np.argsort(np.concatenate([a for _, a in polygons]), kind="stable")]
         # vertex t of the sum: every polygon's start advanced by its own
         # edges among the first t
-        for e, (p, _) in enumerate(polygons):
+        terms = []
+        for e, (f, (p, _)) in enumerate(zip(factors, polygons)):
             step = owner == e
-            tuples[e].append(p[(np.cumsum(step) - step) % len(p)])
-    positions = np.ravel_multi_index(tuple(np.concatenate(t) for t in tuples), shape)
-    return positions[_convex_hull(spectrum.values[positions])]
+            terms.append(f[p[(np.cumsum(step) - step) % len(p)]])
+        return reduce(operator.add, terms)
+
+    return np.concatenate([merged(d) for d in range(m)])
 
 
-def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
-    """Minimize the worst contraction modulus over all nonzero eigenvalues.
-
-    |1 - h*lambda| is convex in lambda, so its maximum over the spectrum
-    is attained on the vertices of the convex hull of the nonzero
-    eigenvalues, and only those enter.  For h > 0,
-
-        max |1 - h*lambda|^2 = 1 + h * max (|lambda|^2 * h - 2 Re lambda),
-
-    the inner maximum is the upper envelope of one line per vertex, and
-    that envelope is dual to the upper hull of the points
-    (|lambda|^2, -2 Re lambda).  The objective is convex, so its minimum
-    lies on the first envelope piece at whose right end it stops
-    falling: at that line's own minimizer Re lambda / |lambda|^2, or at
-    the piece's left end, the crossing of two lines
-    2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
-    search runs.
-
-    The ``extremal`` field is the pair of ``spectrum.model`` under
-    ``spectrum.source``, read from the model's factors
-    (``factor_extremal_pair``), not from the values; None when the pair
-    is degenerate.
-    """
-    values = spectrum.values
-    if len(values) < 2:
-        raise DegenerateError("spectrum has no nonzero eigenvalue")
-    z = values[_hull_positions(spectrum)]
-    if len(values) > 2 and not np.any(np.abs(z - z[0]) > 1e-12):
+def _minimax(
+    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
+) -> ConsensusDesign:
+    """``minimax_h`` of the model's spectrum under ``source``, from the
+    per-dimension factors: O(sum of the sides), not O(N)."""
+    validate(model)
+    z = _hull_candidates(_factors(model, source))
+    z = z[_convex_hull(z)]
+    if not np.any(np.abs(z - z[0]) > 1e-12):
         raise DegenerateError("need at least two distinct nonzero eigenvalues")
     re = z.real
     msq = re * re + z.imag * z.imag
@@ -554,7 +538,7 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
     try:
-        pair = factor_extremal_pair(spectrum.model, spectrum.source)
+        pair = factor_extremal_pair(model, source)
     except DegenerateError:
         pair = None
     return ConsensusDesign(
@@ -562,12 +546,39 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     )
 
 
+def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
+    """Minimize the worst contraction modulus over all nonzero eigenvalues.
+
+    |1 - h*lambda| is convex in lambda, so its maximum over the spectrum
+    is attained on the vertices of the convex hull of the nonzero
+    eigenvalues, and only those enter.  For h > 0,
+
+        max |1 - h*lambda|^2 = 1 + h * max (|lambda|^2 * h - 2 Re lambda),
+
+    the inner maximum is the upper envelope of one line per vertex, and
+    that envelope is dual to the upper hull of the points
+    (|lambda|^2, -2 Re lambda).  The objective is convex, so its minimum
+    lies on the first envelope piece at whose right end it stops
+    falling: at that line's own minimizer Re lambda / |lambda|^2, or at
+    the piece's left end, the crossing of two lines
+    2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
+    search runs.
+
+    Only ``spectrum.model`` and ``spectrum.source`` are read, not the
+    values: the hull vertices come from the model's per-dimension
+    factors under that source.  The ``extremal`` field is the model's
+    pair under the source (``factor_extremal_pair``); None when the pair
+    is degenerate.
+    """
+    return _minimax(spectrum.model, spectrum.source)
+
+
 # design method name -> model -> design; the names sweeps, figures and
 # the CLI accept
 DESIGN_METHODS = {
     "pipeline": design_pipeline,
     "closed": closed_design,
-    "minimax": lambda model: minimax_h(full_spectrum(model)),
+    "minimax": _minimax,
 }
 
 

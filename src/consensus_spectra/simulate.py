@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, InsufficientDataError, ParameterError
-from .topology import DEFAULT_DENSE_CAP, Kind, NetworkModel, dense_laplacian, validate
+from .topology import Kind, NetworkModel, _is_int, dense_laplacian, validate
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -170,10 +170,11 @@ def _structured_apply_L(model: NetworkModel):
 
 
 def _check_window(window: int) -> None:
-    # window = 0 would fail in numpy and a negative one would silently
-    # average over the wrong slice of ratios
-    if window < 1:
-        raise ParameterError(f"window must be at least 1, got window={window}")
+    # window = 0 would fail in numpy, a negative one would silently
+    # average over the wrong slice of ratios and a fractional one would
+    # fail in numpy's slicing
+    if not _is_int(window) or window < 1:
+        raise ParameterError(f"window must be an integer >= 1, got window={window!r}")
 
 
 def run_consensus(
@@ -183,20 +184,18 @@ def run_consensus(
     max_steps: int,
     tolerance: float,
     dense: bool = False,
-    cap: int = DEFAULT_DENSE_CAP,
-    window: int = DEFAULT_WINDOW,
 ) -> SimulationTrace:
     """Iterate until the error norm falls to ``tolerance`` or
     ``max_steps`` is exhausted.
 
-    ``cap`` bounds only the ``dense=True`` path, which materializes L;
-    the default structured step is O(n) and runs at any size.
+    The dense cap bounds only the ``dense=True`` path, which materializes
+    L; the default structured step is O(n) and runs at any size.  The
+    empirical factor is taken over the last ``DEFAULT_WINDOW`` steps.
 
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value, which signals a non-contracting weight matrix.
     """
     validate(model)
-    _check_window(window)
     # a copy: the state is double-buffered in place and x0 is never written
     x = np.array(x0, dtype=float)
     if x.shape != (model.order,):
@@ -207,7 +206,7 @@ def run_consensus(
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
 
     if dense:
-        lap = dense_laplacian(model, cap=cap)
+        lap = dense_laplacian(model)
 
         def apply_L(v, mean):
             return lap @ v
@@ -258,7 +257,7 @@ def run_consensus(
         steps=steps,
         error_norms=error_norms,
         averages=np.array(averages),
-        empirical_factor=_late_window_factor(error_norms, window),
+        empirical_factor=_late_window_factor(error_norms, DEFAULT_WINDOW),
         converged=converged,
     )
 
@@ -304,20 +303,19 @@ def verify_consensus(
     design: ConsensusDesign,
     trials: int,
     seed: int,
-    warmup: int = DEFAULT_WARMUP,
-    window: int = DEFAULT_WINDOW,
 ) -> list[TrialResult]:
     """Run seeded random initial vectors and check the design's promises.
 
-    Each trial asserts average preservation, convergence when gamma < 1,
-    and that the measured contraction is within max(0.01, 0.02 * gamma)
-    of the design gamma.  Failures become report entries, they do not
-    raise: a design with h <= 0, which ``run_consensus`` rejects, fails
-    every trial unrun, as a diverging one fails at run time.
+    Each trial runs ``DEFAULT_WARMUP`` + ``DEFAULT_WINDOW`` + 1 steps and
+    asserts average preservation, convergence when gamma < 1, and that
+    the contraction measured over the last ``DEFAULT_WINDOW`` steps is
+    within max(0.01, 0.02 * gamma) of the design gamma.  Failures become
+    report entries, they do not raise: a design with h <= 0, which
+    ``run_consensus`` rejects, fails every trial unrun, as a diverging
+    one fails at run time.
     """
     if trials < 1:
         raise ParameterError("need at least one trial")
-    _check_window(window)
     results = []
     gamma = design.gamma
     for trial in range(trials):
@@ -339,9 +337,8 @@ def verify_consensus(
                 model,
                 design.h,
                 x0,
-                max_steps=warmup + window + 1,
+                max_steps=DEFAULT_WARMUP + DEFAULT_WINDOW + 1,
                 tolerance=max(1e-12 * initial_error, 1e-300),
-                window=window,
             )
             drift = np.max(np.abs(trace.averages - trace.averages[0]))
             if drift > 1e-12 * np.linalg.norm(x0):

@@ -118,20 +118,14 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     return reduce(outer_sum, per_dim)
 
 
-def _closed_parts(kind: Kind, shape: tuple[int, ...], r, per_dim) -> list[tuple]:
-    """Closed-form (real part, sine sum) of each per-dimension factor at
-    the per-dimension index arrays (an r-nearest ring is one factor, a
-    ring the 1-torus's one factor, and each torus side a ring, the r = 1
-    r-nearest factor).  Neither depends on a."""
+def _closed_parts(kind: Kind, shape: tuple[int, ...], r) -> list[tuple]:
+    """Closed-form (real part, sine sum) of each per-dimension factor (an
+    r-nearest ring is one factor, a ring the 1-torus's one factor, and
+    each torus side a ring, the r = 1 r-nearest factor).  Neither depends
+    on a."""
     if kind is Kind.R_NEAREST_RING:
-        return [_closed_rnearest_parts(per_dim[0], shape[0], r)]
-    return [_closed_rnearest_parts(j, k, 1) for j, k in zip(per_dim, shape)]
-
-
-def _closed_factors(model: NetworkModel, per_dim: list[np.ndarray]) -> list[np.ndarray]:
-    """Closed-form per-dimension factors: real part + (1j * a) * sine sum."""
-    parts = _closed_parts(model.kind, model.shape, model.r, per_dim)
-    return [re + 1j * model.a * s for re, s in parts]
+        return [_closed_rnearest_parts(np.arange(shape[0]), shape[0], r)]
+    return [_closed_rnearest_parts(np.arange(k), k, 1) for k in shape]
 
 
 def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
@@ -143,28 +137,12 @@ def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
     independent of the trigonometric simplification.
     """
     if source is SpectrumSource.CLOSED_FORM:
-        return _closed_factors(model, [np.arange(k) for k in model.shape])
+        # real part + (1j * a) * sine sum
+        parts = _closed_parts(model.kind, model.shape, model.r)
+        return [re + 1j * model.a * s for re, s in parts]
     if model.kind is Kind.R_NEAREST_RING:
         return [circulant_spectrum(circulant_row(model))]
     return [circulant_spectrum(circulant_row(ring(k, model.a))) for k in model.shape]
-
-
-def closed_eigenvalue(model: NetworkModel, index) -> ComplexEigenvalue:
-    """Single eigenvalue from the trigonometric closed form.
-
-    ``index`` is an integer for the 1-D kinds or a tuple of per-
-    dimension indices for tori, each component in [0, k).  The value is
-    the one ``closed_values`` holds at that index, bit for bit.
-    """
-    validate(model)
-    idx = tuple(int(c) for c in index) if isinstance(index, (tuple, list)) else (int(index),)
-    if len(idx) != len(model.shape):
-        raise IndexError(f"index {idx} has {len(idx)} components, model has {len(model.shape)}")
-    for c, k in zip(idx, model.shape):
-        if not 0 <= c < k:
-            raise IndexError(f"index component {c} outside [0, {k})")
-    v = _compose_cartesian(_closed_factors(model, [np.array([c]) for c in idx]))[0]
-    return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=idx)
 
 
 def closed_values(model: NetworkModel) -> np.ndarray:
@@ -277,7 +255,7 @@ def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tu
     so every a reuses them.  1024 entries hold the acceptance grid's 361
     topologies and a figure's handful with room to spare; callers
     validate first (an invalid model's fields can equal a valid one's)."""
-    return _candidates(_closed_parts(kind, shape, r, [np.arange(k) for k in shape]))
+    return _candidates(_closed_parts(kind, shape, r))
 
 
 def _pick(side: tuple, term) -> ComplexEigenvalue:

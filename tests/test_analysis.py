@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from consensus_spectra import (
-    Kind,
-    absolute_error_curve,
     figure_dataset,
     ring,
     rows_to_csv,
@@ -56,33 +54,27 @@ class TestSweep:
         rows = sweep(ring(4, 0.0), {"n": [4, 6], "a": [0.0, 0.5]})
         assert [(row.n, row.a) for row in rows] == [(4, 0.0), (4, 0.5), (6, 0.0), (6, 0.5)]
 
+    def test_ring4_absolute_error(self):
+        rows = sweep(ring(4, 0.5), {"n": [4]})
+        assert rows[0].absolute_error == pytest.approx(2 / 3 - 6 / 11, abs=1e-12)
+
+    def test_absolute_error_decreases_with_n_after_peak(self):
+        rows = sweep(ring(4, 0.3), {"n": range(8, 65, 2)})
+        errs = [row.absolute_error for row in rows]
+        peak = int(np.argmax(errs))
+        assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(errs[peak:], errs[peak + 1 :]))
+
+    def test_larger_asymmetry_pointwise_larger_absolute_error(self):
+        sizes = {"n": range(8, 65, 2)}
+        low = [r.absolute_error for r in sweep(ring(4, 0.3), sizes)]
+        high = [r.absolute_error for r in sweep(ring(4, 0.9), sizes)]
+        assert all(h >= l - 1e-12 for l, h in zip(low, high))
+
     def test_methods_agree_where_optimal(self):
         rows_p = sweep(ring(4, 0.5), {"n": [4, 8]}, method="pipeline")
         rows_m = sweep(ring(4, 0.5), {"n": [4, 8]}, method="minimax")
         for rp, rm in zip(rows_p, rows_m):
             assert rm.gamma == pytest.approx(rp.gamma, abs=1e-8)
-
-
-class TestAbsoluteErrorCurve:
-    def test_ring4_value(self):
-        rows = absolute_error_curve(Kind.RING, [4], 0.5)
-        assert rows[0].absolute_error == pytest.approx(2 / 3 - 6 / 11, abs=1e-12)
-
-    def test_decreases_with_n_after_peak(self):
-        rows = absolute_error_curve(Kind.RING, range(8, 65, 2), 0.3)
-        errs = [row.absolute_error for row in rows]
-        peak = int(np.argmax(errs))
-        assert all(e1 >= e2 - 1e-12 for e1, e2 in zip(errs[peak:], errs[peak + 1 :]))
-
-    def test_larger_asymmetry_pointwise_larger(self):
-        sizes = range(8, 65, 2)
-        low = [r.absolute_error for r in absolute_error_curve(Kind.RING, sizes, 0.3)]
-        high = [r.absolute_error for r in absolute_error_curve(Kind.RING, sizes, 0.9)]
-        assert all(h >= l - 1e-12 for l, h in zip(low, high))
-
-    def test_a_zero_rejected(self):
-        with pytest.raises(ValueError):
-            absolute_error_curve(Kind.RING, [8], 0.0)
 
 
 class TestFigureDatasets:

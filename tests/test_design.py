@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -30,8 +31,9 @@ from consensus_spectra import (
     solve_h_pair,
     torus,
 )
-from consensus_spectra import spectral
+from consensus_spectra import design, spectral
 from consensus_spectra.design import (
+    DESIGN_METHODS,
     _h_ring_even,
     _h_ring_odd,
     _h_rnearest_even,
@@ -50,7 +52,7 @@ from consensus_spectra.design import (
     _reconcile,
     formula_case,
 )
-from conftest import A_GRID, grid_models
+from conftest import A_GRID, grid_models, ring_models, rnearest_models, torus_models
 
 
 class TestSolveHPair:
@@ -277,18 +279,36 @@ class TestPerModelSummary:
                     call(ring(3, 0.0))
 
 
+def run_capped(body: str) -> dict:
+    """Run ``body`` in a fresh interpreter whose address space is capped at
+    4 GiB and return the JSON it prints.  10^9 eigenvalues would take
+    16 GB, so the cap turns a route back to the full spectrum into a
+    quick MemoryError."""
+    code = textwrap.dedent(
+        """
+        import resource
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 4 * 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
+        """
+    ) + textwrap.dedent(body)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestScaleGuard:
     def test_billion_node_torus_designs_from_its_factors(self):
-        # 10^9 eigenvalues would take 16 GB; the address-space cap turns a
-        # route back to the full spectrum into a quick MemoryError
-        code = textwrap.dedent(
+        out = run_capped(
             """
-            import json, resource, time, tracemalloc
+            import json, time, tracemalloc
             import consensus_spectra as cs
 
-            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-            cap = 4 * 2**30
-            resource.setrlimit(resource.RLIMIT_AS, (cap if hard < 0 else min(cap, hard), hard))
             model = cs.torus((1000, 1000, 1000), 0.3)
             tracemalloc.start()
             t0 = time.perf_counter()
@@ -301,17 +321,36 @@ class TestScaleGuard:
                               "lambda_s": d.extremal.lambda_s.index}))
             """
         )
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout)
         assert out["seconds"] < 0.25
         assert out["peak"] < 1_000_000
         assert out["pipeline_rate"] == out["rate"] > 0
         assert out["lambda_s"] == [0, 0, 1]
+
+    def test_billion_node_torus_minimax_from_the_cli(self):
+        out = run_capped(
+            """
+            import contextlib, io, json, time, tracemalloc
+            from consensus_spectra import cli
+
+            argv = ["design", "--method", "minimax", "--model", "torus:dims=1000x1000x1000,a=0.3"]
+            stdout = io.StringIO()
+            tracemalloc.start()
+            t0 = time.perf_counter()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.run(argv)
+            seconds = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+            print(json.dumps({"code": code, "seconds": seconds, "peak": peak,
+                              "design": json.loads(stdout.getvalue())}))
+            """
+        )
+        assert out["code"] == 0
+        assert out["seconds"] < 0.25
+        assert out["peak"] < 1_000_000
+        payload = out["design"]
+        assert payload["method"] == "Minimax"
+        assert 0 < payload["rate"] < 1
+        assert payload["lambda_s"]["index"] == [0, 0, 1]
 
 
 A = 0.37
@@ -481,6 +520,49 @@ class TestMinimaxProperties:
         active = moduli >= d.gamma - 1e-12
         slopes = (d.h * np.abs(nz[active]) ** 2 - nz[active].real) / moduli[active]
         assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
+
+
+def outcome(call) -> str:
+    """repr of a design, every field bit for bit, or the error type."""
+    try:
+        return repr(call())
+    except DegenerateError:
+        return "DegenerateError"
+
+
+class TestMinimaxFromFactors:
+    """The hull comes from the factors' Minkowski merge; solving on the
+    hull of every nonzero eigenvalue gives the same bits."""
+
+    @pytest.mark.parametrize("family", [ring_models, rnearest_models, torus_models])
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    def test_bit_identical_to_the_whole_spectrum_hull(self, source, family, monkeypatch):
+        for a in A_GRID:
+            for model in family(a):
+                spectrum = full_spectrum(model, source)
+                got = {outcome(lambda: minimax_h(spectrum))}
+                if source is SpectrumSource.CLOSED_FORM:
+                    got.add(outcome(lambda: DESIGN_METHODS["minimax"](model)))
+                with monkeypatch.context() as mp:
+                    # the reference: the same exact solve on
+                    # _convex_hull(values[1:])
+                    mp.setattr(design, "_hull_candidates", lambda factors: spectrum.values[1:])
+                    reference = outcome(lambda: minimax_h(spectrum))
+                assert got == {reference}, model
+
+    def test_reads_the_model_and_source_not_the_values(self):
+        spectrum = full_spectrum(torus((3, 5), 0.6), SpectrumSource.DFT_ORACLE)
+        emptied = dataclasses.replace(spectrum, values=np.zeros(0, dtype=complex))
+        assert repr(minimax_h(emptied)) == repr(minimax_h(spectrum))
+
+    @pytest.mark.parametrize("method", sorted(DESIGN_METHODS))
+    def test_no_design_route_builds_a_spectrum(self, method, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a design route built a Spectrum")
+
+        monkeypatch.setattr(spectral.Spectrum, "__init__", refuse)
+        for model in (ring(9, 0.4), r_nearest_ring(20, 3, 0.7), torus((4, 6, 8), 0.3)):
+            assert DESIGN_METHODS[method](model).gamma > 0
 
 
 CERTIFY_REFERENCE = json.loads(

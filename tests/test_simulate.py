@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_spectra import (
+    DEFAULT_DENSE_CAP,
     DivergenceError,
     InsufficientDataError,
     ParameterError,
@@ -298,10 +299,20 @@ class TestRunConsensus:
             run_consensus(ring(4, 0.0), 0.5, [1.0, 2.0], 10, 1e-9)
 
     def test_cap(self):
-        # only the dense path materializes L, so only it is capped
-        with pytest.raises(SizeError):
-            run_consensus(ring(64, 0.0), 0.5, np.zeros(64), 10, 1e-9, dense=True, cap=32)
-        trace = run_consensus(ring(64, 0.0), 0.5, uniform_vector(1, 64), 3, 1e-300, cap=32)
+        # only the dense path materializes L, so only it is capped, and it
+        # refuses before allocating the n x n matrix
+        n = DEFAULT_DENSE_CAP + 1
+        model = ring(n, 0.0)
+        x0 = uniform_vector(1, n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                run_consensus(model, 0.5, x0, 10, 1e-9, dense=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
+        trace = run_consensus(model, 0.5, x0, 3, 1e-300)
         assert trace.steps == 3
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=4, max_value=40))
@@ -418,28 +429,17 @@ class TestVerifyConsensus:
             verify_consensus(ring(8, 0.0), design_pipeline(ring(8, 0.0)), trials=0, seed=1)
 
 
-@pytest.mark.parametrize("window", [0, -3])
+@pytest.mark.parametrize("window", [0, -3, 2.5, True])
 class TestWindowValidation:
-    """A window below 1 is a parameter error at each entry point, not a
-    numpy shape error (0) or a factor over the wrong slice (-3)."""
-
-    def test_run_consensus(self, window):
-        model = ring(8, 0.3)
-        with pytest.raises(ParameterError, match="window"):
-            run_consensus(model, design_pipeline(model).h, uniform_vector(1, 8), 20, 1e-12, window=window)
+    """A window that is not an integer >= 1 is a parameter error, not a
+    numpy shape error (0), a factor over the wrong slice (-3), a bare
+    TypeError from numpy's slicing (2.5) or a window of one (True)."""
 
     def test_empirical_contraction(self, window):
         model = ring(8, 0.3)
         trace = run_consensus(model, design_pipeline(model).h, uniform_vector(1, 8), 20, 1e-300)
         with pytest.raises(ParameterError, match="window"):
             empirical_contraction(trace, window)
-
-    @pytest.mark.parametrize("model", [ring(8, 0.3), r_nearest_ring(12, 5, 0.9)], ids=format_model)
-    def test_verify_consensus(self, window, model):
-        # the h < 0 design of the r-nearest ring runs no trial, so the
-        # check cannot be left to run_consensus
-        with pytest.raises(ParameterError, match="window"):
-            verify_consensus(model, design_pipeline(model), trials=1, seed=1, window=window)
 
 
 class TestTraceExport:

@@ -12,7 +12,6 @@ from consensus_spectra import (
     SpectrumSource,
     circulant_row,
     circulant_spectrum,
-    closed_eigenvalue,
     closed_values,
     extremal_pair,
     factor_extremal_pair,
@@ -93,46 +92,24 @@ class TestCirculantSpectrum:
             assert abs(values[j] - dft_by_hand(entries, j)) <= tol
 
 
-class TestClosedEigenvalue:
+class TestClosedValues:
     def test_matches_direct_summation(self):
         model = ring(4, 0.5)
-        ev = closed_eigenvalue(model, 1)
+        value = closed_values(model)[1]
         oracle = dft_by_hand(circulant_row(model), 1)
-        assert ev.value == pytest.approx(oracle, abs=1e-12)
-        assert ev.value == pytest.approx(1 + 0.5j, abs=1e-12)
+        assert value == pytest.approx(oracle, abs=1e-12)
+        assert value == pytest.approx(1 + 0.5j, abs=1e-12)
 
     def test_torus_antipodal_real(self):
-        ev = closed_eigenvalue(torus((4, 4), 0.0), (2, 2))
-        assert ev.value == pytest.approx(4.0, abs=1e-12)
+        # index (2, 2) of the 4x4 grid, dimension 1 slowest
+        assert closed_values(torus((4, 4), 0.0))[2 * 4 + 2] == pytest.approx(4.0, abs=1e-12)
 
     def test_rnearest_matches_oracle(self):
         model = r_nearest_ring(6, 2, 0.0)
-        ev = closed_eigenvalue(model, 2)
+        value = closed_values(model)[2]
         oracle = dft_by_hand(circulant_row(model), 2)
-        assert ev.value == pytest.approx(oracle, abs=1e-12)
-        assert ev.value == pytest.approx(3.0, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            closed_eigenvalue(ring(4, 0.0), 4)
-        with pytest.raises(IndexError):
-            closed_eigenvalue(torus((3, 3), 0.0), (1, 3))
-        # a ring is the 1-torus: a second component is an error, not
-        # silently dropped
-        with pytest.raises(IndexError):
-            closed_eigenvalue(ring(4, 0.5), (1, 3))
-
-    @pytest.mark.parametrize(
-        "model",
-        [ring(7, 0.6), r_nearest_ring(11, 3, 0.9), torus((3, 4), 0.5), torus((5, 7, 9), 0.3)],
-    )
-    def test_scalar_and_vectorized_paths_agree(self, model):
-        # one trig expression per family: the single eigenvalue is the
-        # array entry bit for bit, summation order included
-        spec = full_spectrum(model)
-        for pos in range(len(spec)):
-            ev = closed_eigenvalue(model, spec.index_tuple(pos))
-            assert ev.value == spec.values[pos]
+        assert value == pytest.approx(oracle, abs=1e-12)
+        assert value == pytest.approx(3.0, abs=1e-12)
 
 
 def ring_factor_as_written(n, a):
