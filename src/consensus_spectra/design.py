@@ -1,8 +1,9 @@
 """Best-constant weight design: consensus parameter, factor and rate.
 
 The canonical route (``design_pipeline``) works on any validated model:
-pick the extremal eigenvalue pair from the per-dimension factor spectra
-(``spectral.factor_extremal_pair``; no full spectrum is built), solve
+pick the extremal eigenvalue pair from the closed-form per-dimension
+factors (``spectral.factor_extremal_pair``; no full spectrum is
+built), solve
 
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
@@ -28,9 +29,11 @@ max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
 is attained on the vertices of the spectrum's convex hull, built from
 the per-dimension factor hulls, and the minimizing h is an active
 vertex's own minimizer or the crossing of two active vertices.  It too
-reads only the model's per-dimension factors (``spectral._factors``):
-``minimax_h(spectrum)`` takes the spectrum's model and source, not its
-values, and no design route builds a full spectrum.
+reads only the model's closed-form per-dimension factors:
+``minimax_h(spectrum)`` takes the spectrum's model, not its values or
+source, and no design route builds a full spectrum.  Every design reads
+the closed forms; the DFT oracle checks them through the full-spectrum
+scan (``spectral.extremal_pair``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .spectral import (
     ExtremalPair,
     Spectrum,
     SpectrumSource,
-    _compose_cartesian,
     _factors,
     factor_extremal_pair,
 )
@@ -116,14 +118,12 @@ def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> Consens
     return ConsensusDesign(h=h, gamma=gamma, rate=1.0 - gamma, method=method, extremal=pair)
 
 
-def design_pipeline(
-    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
-) -> ConsensusDesign:
+def design_pipeline(model: NetworkModel) -> ConsensusDesign:
     """Canonical best-constant design: extremal pair -> h.
 
     This is the reference every closed-form entry is checked against.
     """
-    pair = factor_extremal_pair(model, source)
+    pair = factor_extremal_pair(model)
     h = solve_h_pair(pair.lambda_s.value, pair.lambda_l.value)
     return _on_slow_mode(h, pair, DesignMethod.PAIR_SOLVE)
 
@@ -461,23 +461,18 @@ def _convex_hull(z: np.ndarray) -> np.ndarray:
 def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
     """Values whose convex hull is that of the nonzero eigenvalues of the
     Cartesian sum of ``factors`` (a ring or an r-nearest ring is one
-    factor).
+    factor), each with the consensus value exactly 0j at index 0.
 
     The hull of a Cartesian sum is the Minkowski sum of the factor
-    hulls, whose boundary is the factor edges merged by angle.  The
-    factor hulls are taken on the spectrum's axis slices through index
-    0: under the DFT oracle these differ from the raw factors by the
-    other factors' index-0 entries, a shift not exactly 0.  The nonzero
-    eigenvalues are the union over d of the sums whose factor d skips
-    its index 0, so each d gets one merge, and the merged index tuples'
-    values are composed from the raw factors in ``_compose_cartesian``
-    order, bit for bit the spectrum's entries.
+    hulls, whose boundary is the factor edges merged by angle; the
+    merged index tuples' values are composed in ``_compose_cartesian``
+    order, bit for bit the spectrum's entries.  Dropping the all-zeros
+    vertex leaves every vertex of the nonzero eigenvalues' hull but
+    those on one factor's axis: a vertex with two nonzero components
+    beats, in its supporting direction, both tuples that drop one of
+    them, so it beats the all-zeros tuple too and is a vertex of the
+    whole hull.  Each factor's nonzero hull vertices cover the rest.
     """
-    m = len(factors)
-    slices = [
-        _compose_cartesian([f if e == d else f[:1] for e, f in enumerate(factors)])
-        for d in range(m)
-    ]
 
     def polygon(f, positions):
         # counter-clockwise from the lowest vertex, so that the edge
@@ -489,31 +484,26 @@ def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
         angles = np.mod(np.angle(np.concatenate((z[1:], z[:1])) - z), 2 * np.pi)
         return positions, np.maximum.accumulate(angles)
 
-    full = [polygon(f, _convex_hull(f)) for f in slices]
-    nonzero = [polygon(f, _convex_hull(f[1:]) + 1) for f in slices]
-
-    def merged(d):
-        polygons = full[:d] + nonzero[d : d + 1] + full[d + 1 :]
-        owner = np.concatenate([np.full(len(p), e) for e, (p, _) in enumerate(polygons)])
-        owner = owner[np.argsort(np.concatenate([a for _, a in polygons]), kind="stable")]
-        # vertex t of the sum: every polygon's start advanced by its own
-        # edges among the first t
-        terms = []
-        for e, (f, (p, _)) in enumerate(zip(factors, polygons)):
-            step = owner == e
-            terms.append(f[p[(np.cumsum(step) - step) % len(p)]])
-        return reduce(operator.add, terms)
-
-    return np.concatenate([merged(d) for d in range(m)])
+    polygons = [polygon(f, _convex_hull(f)) for f in factors]
+    owner = np.concatenate([np.full(len(p), e) for e, (p, _) in enumerate(polygons)])
+    owner = owner[np.argsort(np.concatenate([a for _, a in polygons]), kind="stable")]
+    # vertex t of the sum: every polygon's start advanced by its own edges
+    # among the first t
+    at = []
+    for e, (p, _) in enumerate(polygons):
+        step = owner == e
+        at.append(p[(np.cumsum(step) - step) % len(p)])
+    merged = reduce(operator.add, [f[i] for f, i in zip(factors, at)])
+    nonzero = np.any(at, axis=0)  # every vertex but the all-zeros one
+    axes = [f[_convex_hull(f[1:]) + 1] for f in factors]
+    return np.concatenate([merged[nonzero]] + axes)
 
 
-def _minimax(
-    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
-) -> ConsensusDesign:
-    """``minimax_h`` of the model's spectrum under ``source``, from the
+def _minimax(model: NetworkModel) -> ConsensusDesign:
+    """``minimax_h`` of the model's spectrum, from the closed-form
     per-dimension factors: O(sum of the sides), not O(N)."""
     validate(model)
-    z = _hull_candidates(_factors(model, source))
+    z = _hull_candidates(_factors(model, SpectrumSource.CLOSED_FORM))
     z = z[_convex_hull(z)]
     if not np.any(np.abs(z - z[0]) > 1e-12):
         raise DegenerateError("need at least two distinct nonzero eigenvalues")
@@ -538,7 +528,7 @@ def _minimax(
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
     try:
-        pair = factor_extremal_pair(model, source)
+        pair = factor_extremal_pair(model)
     except DegenerateError:
         pair = None
     return ConsensusDesign(
@@ -564,13 +554,12 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
     search runs.
 
-    Only ``spectrum.model`` and ``spectrum.source`` are read, not the
-    values: the hull vertices come from the model's per-dimension
-    factors under that source.  The ``extremal`` field is the model's
-    pair under the source (``factor_extremal_pair``); None when the pair
-    is degenerate.
+    Only ``spectrum.model`` is read, not the values or the source: the
+    hull vertices come from the model's closed-form per-dimension
+    factors.  The ``extremal`` field is the model's closed-form pair
+    (``factor_extremal_pair``); None when the pair is degenerate.
     """
-    return _minimax(spectrum.model, spectrum.source)
+    return _minimax(spectrum.model)
 
 
 # design method name -> model -> design; the names sweeps, figures and

@@ -204,6 +204,8 @@ def run_consensus(
         raise ParameterError(f"consensus parameter must be positive, got h={h}")
     if not tolerance > 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if not (_is_int(max_steps) and max_steps >= 0):
+        raise ParameterError(f"max_steps must be a non-negative integer, got {max_steps!r}")
 
     if dense:
         lap = dense_laplacian(model)

@@ -12,12 +12,15 @@ r-nearest ring is one factor.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index, and extremal selection looks for the smallest and
-largest real parts.  ``extremal_pair`` scans a full spectrum;
-``factor_extremal_pair`` selects the same pair per factor, without
-building the N eigenvalues.  Closed-form real parts are independent of
-the asymmetric factor a, and each factor's imaginary part is a times an
-a-free sine sum, so the candidates for the pair are selected once per
-topology and a decides only the |imaginary part| tie-break among them.
+largest real parts.  ``extremal_pair`` scans a full spectrum from either
+route.  The designs read the closed-form factors only:
+``factor_extremal_pair`` selects the closed-form pair per factor,
+without building the N eigenvalues.  Closed-form real parts are
+independent of the asymmetric factor a, and each factor's imaginary
+part is a times an a-free sine sum, so the candidates for the pair are
+selected once per topology and a decides only the |imaginary part|
+tie-break among them.  The oracle checks a design through the scan,
+``extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))``.
 """
 
 from __future__ import annotations
@@ -205,19 +208,25 @@ def _checked_pair(lam_s: ComplexEigenvalue, lam_l: ComplexEigenvalue) -> Extrema
     return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
 
 
-def _candidates(parts: list[tuple]) -> tuple[tuple, tuple]:
-    """The candidates for lambda_s and for lambda_l: every nonzero index
-    tuple whose composed real part lies within the tie tolerance of the
-    nonzero minimum (maximum), in flat index order, each as (index, real
-    part, per-dimension terms).  ``parts`` holds each factor's real parts
-    and the array its terms are read from.
+@lru_cache(maxsize=1024)
+def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tuple]:
+    """The candidates for lambda_s and for lambda_l of one topology: every
+    nonzero index tuple whose composed real part lies within the tie
+    tolerance of the nonzero minimum (maximum), in flat index order, each
+    as (index, real part, per-dimension sine sums).
 
     Float addition is monotone, so a composed real part can lie within
     the tolerance of the extreme only if each component does with every
     other dimension held at its own extreme.  The product of those few
     per-dimension candidates is composed in ``_compose_cartesian`` order,
     which reproduces every real part and the flat index order.
+
+    Real parts and sine sums do not depend on a, so every a reuses them.
+    1024 entries hold the acceptance grid's 361 topologies and a figure's
+    handful with room to spare; callers validate first (an invalid
+    model's fields can equal a valid one's).
     """
+    parts = _closed_parts(kind, shape, r)
 
     def side(sign: float) -> tuple:
         # sign 1 selects the smallest nonzero real part, sign -1 the
@@ -248,27 +257,17 @@ def _candidates(parts: list[tuple]) -> tuple[tuple, tuple]:
     return side(1.0), side(-1.0)
 
 
-@lru_cache(maxsize=1024)
-def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tuple]:
-    """The closed form's candidates of one topology, with each factor's
-    sine sum as its term.  Real parts and sine sums do not depend on a,
-    so every a reuses them.  1024 entries hold the acceptance grid's 361
-    topologies and a figure's handful with room to spare; callers
-    validate first (an invalid model's fields can equal a valid one's)."""
-    return _candidates(_closed_parts(kind, shape, r))
-
-
-def _pick(side: tuple, term) -> ComplexEigenvalue:
+def _pick(side: tuple, a: float) -> ComplexEigenvalue:
     """``extremal_pair``'s tie rule on one side's candidates: the largest
     |imaginary part| within the tolerance, then the smallest flat index.
-    ``term`` maps a stored term to its factor's imaginary part; a
-    candidate's imaginary part is their sum in ``_compose_cartesian``
-    order."""
+    A factor's imaginary part is 0.0 + a * (its sine sum), the bits of
+    ``_factors``' ``re + 1j * a * s``; a candidate's is their sum in
+    ``_compose_cartesian`` order."""
     ims = []
-    for _, _, terms in side:
-        im = term(terms[0])
-        for t in terms[1:]:
-            im += term(t)
+    for _, _, sines in side:
+        im = 0.0 + a * sines[0]
+        for s in sines[1:]:
+            im += 0.0 + a * s
         ims.append(im)
     k = 0
     if len(ims) > 1:
@@ -279,32 +278,17 @@ def _pick(side: tuple, term) -> ComplexEigenvalue:
     return ComplexEigenvalue(re=re, im=float(ims[k]), index=index)
 
 
-def factor_extremal_pair(
-    model: NetworkModel, source: SpectrumSource = SpectrumSource.CLOSED_FORM
-) -> ExtremalPair:
-    """``extremal_pair(full_spectrum(model, source))``, bit for bit, from
-    the per-dimension factors alone: O(sum of the sides), not O(N).
+def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
+    """``extremal_pair(full_spectrum(model))``, bit for bit, from the
+    closed-form per-dimension factors alone: O(sum of the sides), not O(N).
 
-    The candidates (``_candidates``) come from the real parts; the pick
-    among them costs O(candidates).  Closed-form real parts do not depend
-    on a and each factor's imaginary part is 0.0 + a * (its sine sum), so
-    a topology's candidates are selected once, and a enters only at the
-    pick.  The oracle's real parts move with a in their last bits, so it
-    selects its candidates on every call, with the factors' own imaginary
-    parts as terms.
+    The candidates (``_closed_candidates``) come from the real parts,
+    which do not depend on a, so a topology's candidates are selected
+    once; a enters only at the pick, which costs O(candidates).
     """
     validate(model)
-    if source is SpectrumSource.CLOSED_FORM:
-        sides = _closed_candidates(model.kind, model.shape, model.r)
-        a = model.a
-
-        def term(s):
-            return 0.0 + a * s
-
-    else:
-        sides = _candidates([(f.real, f.imag) for f in _factors(model, source)])
-        term = float  # the stored imaginary part itself, -0.0 included
-    return _checked_pair(*(_pick(side, term) for side in sides))
+    sides = _closed_candidates(model.kind, model.shape, model.r)
+    return _checked_pair(*(_pick(side, model.a) for side in sides))
 
 
 # --- export -------------------------------------------------------------------

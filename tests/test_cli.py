@@ -138,6 +138,13 @@ class TestSimulateAndVerify:
         assert code == 0
         assert json.loads(out)["steps"] == 3
 
+    def test_simulate_negative_steps_exit_1(self, capsys):
+        code, out, err = invoke(capsys, "simulate", "--model", "ring:n=8,a=0.3", "--steps", "-5")
+        assert code == 1
+        assert out == ""
+        lines = err.strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error type=ParameterError")
+
     def test_simulate_json_summary(self, capsys):
         code, out, _ = invoke(
             capsys, "simulate", "--model", "torus:dims=4x4,a=0", "--format", "json", "--steps", "200"

@@ -32,6 +32,7 @@ from consensus_spectra import (
     torus,
 )
 from consensus_spectra import design, spectral
+from consensus_spectra.analysis import FIG6_SIDES
 from consensus_spectra.design import (
     DESIGN_METHODS,
     _h_ring_even,
@@ -118,10 +119,15 @@ class TestDesignPipeline:
             design_pipeline(ring(3, 0.5))
 
     def test_source_independent(self):
-        for model in (ring(9, 0.7), torus((4, 8), 0.3)):
-            d1 = design_pipeline(model, source=SpectrumSource.CLOSED_FORM)
-            d2 = design_pipeline(model, source=SpectrumSource.DFT_ORACLE)
-            assert d1.h == pytest.approx(d2.h, abs=1e-10)
+        # the closed-form design agrees with the oracle spectrum's scan
+        for model in (m for a in A_GRID for m in grid_models(a)):
+            try:
+                d = design_pipeline(model)
+            except DegenerateError:
+                continue
+            oracle = extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))
+            h = solve_h_pair(oracle.lambda_s.value, oracle.lambda_l.value)
+            assert d.h == pytest.approx(h, abs=1e-10), model
 
     def test_symmetric_reduction_formula(self):
         # at a = 0 the pair solution collapses to 2 / (l_s + l_l)
@@ -255,22 +261,13 @@ class TestPerModelSummary:
             warm = closed_form_R(model)
             assert repr(warm) == repr(cold), model
 
-    @pytest.mark.parametrize("first", list(SpectrumSource))
-    def test_sources_do_not_alias(self, first):
-        # the two routes' pairs of a 7-ring differ in their last bits
+    def test_every_route_carries_the_closed_form_pair(self):
         model = ring(7, 0.3)
-        spectral._closed_candidates.cache_clear()
-        designs = {first: design_pipeline(model, first)}
-        for source in SpectrumSource:
-            designs.setdefault(source, design_pipeline(model, source))
-        for source, d in designs.items():
-            spectrum = full_spectrum(model, source)
-            assert repr(d.extremal) == repr(extremal_pair(spectrum))
-            assert repr(minimax_h(spectrum).extremal) == repr(d.extremal)
-        assert repr(designs[SpectrumSource.CLOSED_FORM]) != repr(designs[SpectrumSource.DFT_ORACLE])
-        assert repr(closed_design(model).extremal) == repr(
-            designs[SpectrumSource.CLOSED_FORM].extremal
-        )
+        pair = design_pipeline(model).extremal
+        spectrum = full_spectrum(model)
+        assert repr(pair) == repr(extremal_pair(spectrum))
+        assert repr(minimax_h(spectrum).extremal) == repr(pair)
+        assert repr(closed_design(model).extremal) == repr(pair)
 
     def test_degenerate_model_raises_on_every_call(self):
         for _ in range(3):
@@ -492,10 +489,10 @@ def _small_models():
 
 
 class TestMinimaxProperties:
-    @given(_small_models(), st.sampled_from(list(SpectrumSource)))
+    @given(_small_models())
     @settings(max_examples=150, deadline=None)
-    def test_exact_minimax_over_the_whole_spectrum(self, model, source):
-        spectrum = full_spectrum(model, source=source)
+    def test_exact_minimax_over_the_whole_spectrum(self, model):
+        spectrum = full_spectrum(model)
         try:
             d = minimax_h(spectrum)
         except DegenerateError:
@@ -505,6 +502,9 @@ class TestMinimaxProperties:
         # the hull vertices decide: gamma is the worst modulus over every
         # nonzero eigenvalue
         assert d.gamma == pytest.approx(float(moduli.max()), abs=1e-14)
+        # and the oracle spectrum agrees with it
+        oracle = full_spectrum(model, SpectrumSource.DFT_ORACLE).values[1:]
+        assert d.gamma == pytest.approx(float(np.abs(1 - d.h * oracle).max()), abs=1e-12)
         # no h on a fine scan does better
         hs = np.linspace(0, 2.0 / nz.real.max(), 4001)
         scan = np.min(np.max(np.abs(1 - hs[:, None] * nz[None, :]), axis=1))
@@ -522,6 +522,13 @@ class TestMinimaxProperties:
         assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
 
 
+HIGHER_TORUS_DIMS = ((3, 3, 3), (3, 4, 5), (5, 7, 9), (4, 4, 4, 4), (3, 3, 3, 3, 3))
+
+
+def higher_tori(a: float):
+    return [torus(dims, a) for dims in HIGHER_TORUS_DIMS]
+
+
 def outcome(call) -> str:
     """repr of a design, every field bit for bit, or the error type."""
     try:
@@ -534,15 +541,15 @@ class TestMinimaxFromFactors:
     """The hull comes from the factors' Minkowski merge; solving on the
     hull of every nonzero eigenvalue gives the same bits."""
 
-    @pytest.mark.parametrize("family", [ring_models, rnearest_models, torus_models])
-    @pytest.mark.parametrize("source", list(SpectrumSource))
-    def test_bit_identical_to_the_whole_spectrum_hull(self, source, family, monkeypatch):
+    @pytest.mark.parametrize("family", [ring_models, rnearest_models, torus_models, higher_tori])
+    def test_bit_identical_to_the_whole_spectrum_hull(self, family, monkeypatch):
         for a in A_GRID:
             for model in family(a):
-                spectrum = full_spectrum(model, source)
-                got = {outcome(lambda: minimax_h(spectrum))}
-                if source is SpectrumSource.CLOSED_FORM:
-                    got.add(outcome(lambda: DESIGN_METHODS["minimax"](model)))
+                spectrum = full_spectrum(model)
+                got = {
+                    outcome(lambda: minimax_h(spectrum)),
+                    outcome(lambda: DESIGN_METHODS["minimax"](model)),
+                }
                 with monkeypatch.context() as mp:
                     # the reference: the same exact solve on
                     # _convex_hull(values[1:])
@@ -550,10 +557,21 @@ class TestMinimaxFromFactors:
                     reference = outcome(lambda: minimax_h(spectrum))
                 assert got == {reference}, model
 
-    def test_reads_the_model_and_source_not_the_values(self):
-        spectrum = full_spectrum(torus((3, 5), 0.6), SpectrumSource.DFT_ORACLE)
+    def test_reads_the_model_not_the_values_or_source(self):
+        model = torus((3, 5), 0.6)
+        spectrum = full_spectrum(model)
         emptied = dataclasses.replace(spectrum, values=np.zeros(0, dtype=complex))
+        oracle = full_spectrum(model, SpectrumSource.DFT_ORACLE)
         assert repr(minimax_h(emptied)) == repr(minimax_h(spectrum))
+        assert repr(minimax_h(oracle)) == repr(minimax_h(spectrum))
+
+    @pytest.mark.parametrize("dims", [(1000, 1000, 1000), FIG6_SIDES], ids=["1000^3", "fig6"])
+    def test_one_merge_of_the_factor_hulls(self, dims):
+        # one merge of the full hulls plus each factor's nonzero hull,
+        # not one merge per dimension
+        factors = spectral._factors(torus(dims, 0.3), SpectrumSource.CLOSED_FORM)
+        bound = sum(len(design._convex_hull(f)) + len(design._convex_hull(f[1:])) for f in factors)
+        assert len(design._hull_candidates(factors)) <= bound
 
     @pytest.mark.parametrize("method", sorted(DESIGN_METHODS))
     def test_no_design_route_builds_a_spectrum(self, method, monkeypatch):

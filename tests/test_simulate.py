@@ -298,6 +298,11 @@ class TestRunConsensus:
         with pytest.raises(ParameterError):
             run_consensus(ring(4, 0.0), 0.5, [1.0, 2.0], 10, 1e-9)
 
+    @pytest.mark.parametrize("max_steps", [-5, 2.5, True])
+    def test_max_steps_must_be_a_non_negative_integer(self, max_steps):
+        with pytest.raises(ParameterError, match="max_steps"):
+            run_consensus(ring(8, 0.3), 0.5, uniform_vector(1, 8), max_steps, 1e-12)
+
     def test_cap(self):
         # only the dense path materializes L, so only it is capped, and it
         # refuses before allocating the n x n matrix

@@ -279,42 +279,28 @@ class TestFactorExtremalPair:
     """The per-factor selection reproduces the full-spectrum scan bit for
     bit, including which member of a tie it takes."""
 
-    @pytest.mark.parametrize("source", list(SpectrumSource))
-    def test_matches_the_scan_on_the_grid(self, source):
+    def test_matches_the_scan_on_the_grid(self):
         for model in (m for a in A_GRID for m in grid_models(a)):
-            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
-                lambda: extremal_pair(full_spectrum(model, source))
+            assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
+                lambda: extremal_pair(full_spectrum(model))
             ), model
 
-    @given(tori_with_a_long_side(), st.sampled_from(list(SpectrumSource)))
+    @given(tori_with_a_long_side())
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_scan_on_tori(self, model, source):
-        assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
-            lambda: extremal_pair(full_spectrum(model, source))
+    def test_matches_the_scan_on_tori(self, model):
+        assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
+            lambda: extremal_pair(full_spectrum(model))
         )
 
-    @pytest.mark.parametrize("source", list(SpectrumSource))
     @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
-    def test_ties_spanning_several_indices(self, source, a):
+    def test_ties_spanning_several_indices(self, a):
         model = torus((299_999, 3), a)
-        re = full_spectrum(model, source).values[1:].real
+        re = full_spectrum(model).values[1:].real
         assert np.sum(re <= re.min() + 1e-9) >= 4
         assert np.sum(re >= re.max() - 1e-9) >= 8
-        assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
-            lambda: extremal_pair(full_spectrum(model, source))
+        assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
+            lambda: extremal_pair(full_spectrum(model))
         )
-
-    @pytest.mark.parametrize("dims", [(89, 5), (5, 89), (89, 89, 3), (4, 89, 6, 3)])
-    def test_oracle_factors_with_a_nonzero_consensus_value(self, dims):
-        # the oracle's index-0 value of the 89-ring is not exactly 0, so
-        # the axis slices of a composed oracle grid are not its factors
-        for a in A_GRID:
-            assert circulant_spectrum(circulant_row(ring(89, a)))[0] != 0
-            model = torus(dims, a)
-            source = SpectrumSource.DFT_ORACLE
-            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
-                lambda: extremal_pair(full_spectrum(model, source))
-            )
 
 
 # a = 0 and 1, and two values at which every |Im| difference falls under
@@ -341,13 +327,13 @@ class TestPickPerA:
     """A topology's candidates are selected once; each a picks among them
     with extremal_pair's tie rule, and no pick outlives its a."""
 
-    @given(topologies(), st.sampled_from(list(SpectrumSource)))
+    @given(topologies())
     @settings(max_examples=40, deadline=None)
-    def test_every_a_matches_the_scan(self, topology, source):
+    def test_every_a_matches_the_scan(self, topology):
         for a in TIE_A:
             model = dataclasses.replace(topology, a=a)
-            assert pair_bits(lambda: factor_extremal_pair(model, source)) == pair_bits(
-                lambda: extremal_pair(full_spectrum(model, source))
+            assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
+                lambda: extremal_pair(full_spectrum(model))
             ), a
 
     @given(topologies(), st.sampled_from(TIE_A), st.sampled_from(TIE_A))
