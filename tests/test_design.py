@@ -261,13 +261,25 @@ class TestPerModelSummary:
             warm = closed_form_R(model)
             assert repr(warm) == repr(cold), model
 
-    def test_every_route_carries_the_closed_form_pair(self):
+    @pytest.mark.parametrize("first", list(SpectrumSource))
+    def test_sources_do_not_alias(self, first):
+        # the two spectra's pairs of a 7-ring differ in their last bits;
+        # whichever spectrum is read first, every route carries the
+        # closed-form pair
         model = ring(7, 0.3)
-        pair = design_pipeline(model).extremal
-        spectrum = full_spectrum(model)
-        assert repr(pair) == repr(extremal_pair(spectrum))
-        assert repr(minimax_h(spectrum).extremal) == repr(pair)
-        assert repr(closed_design(model).extremal) == repr(pair)
+        spectral._closed_candidates.cache_clear()
+        spectra = {first: full_spectrum(model, first)}
+        designs = {first: minimax_h(spectra[first])}
+        for source in SpectrumSource:
+            spectra.setdefault(source, full_spectrum(model, source))
+            designs.setdefault(source, minimax_h(spectra[source]))
+        pairs = {source: repr(extremal_pair(spectrum)) for source, spectrum in spectra.items()}
+        assert pairs[SpectrumSource.CLOSED_FORM] != pairs[SpectrumSource.DFT_ORACLE]
+        pair = repr(design_pipeline(model).extremal)
+        assert pair == pairs[SpectrumSource.CLOSED_FORM]
+        for d in designs.values():
+            assert repr(d.extremal) == pair
+        assert repr(closed_design(model).extremal) == pair
 
     def test_degenerate_model_raises_on_every_call(self):
         for _ in range(3):
@@ -542,22 +554,26 @@ class TestMinimaxFromFactors:
     hull of every nonzero eigenvalue gives the same bits."""
 
     @pytest.mark.parametrize("family", [ring_models, rnearest_models, torus_models, higher_tori])
-    def test_bit_identical_to_the_whole_spectrum_hull(self, family, monkeypatch):
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    def test_bit_identical_to_the_whole_spectrum_hull(self, source, family, monkeypatch):
+        # minimax_h reads the model only, so a DFT spectrum gives the
+        # closed-form design too
         for a in A_GRID:
             for model in family(a):
-                spectrum = full_spectrum(model)
+                spectrum = full_spectrum(model, source)
+                closed = full_spectrum(model)
                 got = {
                     outcome(lambda: minimax_h(spectrum)),
                     outcome(lambda: DESIGN_METHODS["minimax"](model)),
                 }
                 with monkeypatch.context() as mp:
-                    # the reference: the same exact solve on
-                    # _convex_hull(values[1:])
-                    mp.setattr(design, "_hull_candidates", lambda factors: spectrum.values[1:])
-                    reference = outcome(lambda: minimax_h(spectrum))
+                    # the reference: the same exact solve on the closed
+                    # form's _convex_hull(values[1:])
+                    mp.setattr(design, "_hull_candidates", lambda factors: closed.values[1:])
+                    reference = outcome(lambda: minimax_h(closed))
                 assert got == {reference}, model
 
-    def test_reads_the_model_not_the_values_or_source(self):
+    def test_reads_the_model_and_source_not_the_values(self):
         model = torus((3, 5), 0.6)
         spectrum = full_spectrum(model)
         emptied = dataclasses.replace(spectrum, values=np.zeros(0, dtype=complex))

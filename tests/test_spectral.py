@@ -262,6 +262,21 @@ def pair_bits(pair_of):
     return tuple((ev.re.hex(), ev.im.hex(), ev.index) for ev in (pair.lambda_s, pair.lambda_l))
 
 
+def assert_pair_matches_the_scan(model, source=SpectrumSource.CLOSED_FORM):
+    """The closed-form pair against the scan of ``source``'s spectrum: bit
+    for bit on the closed form; on the DFT oracle, whose values differ in
+    their last bits, the same indices with values within 1e-12."""
+    got = pair_bits(lambda: factor_extremal_pair(model))
+    want = pair_bits(lambda: extremal_pair(full_spectrum(model, source)))
+    if source is SpectrumSource.CLOSED_FORM or "DegenerateError" in (got, want):
+        assert got == want, model
+        return
+    for (re, im, index), (oracle_re, oracle_im, oracle_index) in zip(got, want):
+        assert index == oracle_index, model
+        assert float.fromhex(re) == pytest.approx(float.fromhex(oracle_re), abs=1e-12), model
+        assert float.fromhex(im) == pytest.approx(float.fromhex(oracle_im), abs=1e-12), model
+
+
 @st.composite
 def tori_with_a_long_side(draw):
     """2- to 5-D tori of at most ~1.2M nodes, one side up to 3e5 so that
@@ -277,13 +292,13 @@ def tori_with_a_long_side(draw):
 
 class TestFactorExtremalPair:
     """The per-factor selection reproduces the full-spectrum scan bit for
-    bit, including which member of a tie it takes."""
+    bit, including which member of a tie it takes, and picks the same
+    members as the scan of the DFT oracle's spectrum."""
 
-    def test_matches_the_scan_on_the_grid(self):
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    def test_matches_the_scan_on_the_grid(self, source):
         for model in (m for a in A_GRID for m in grid_models(a)):
-            assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
-                lambda: extremal_pair(full_spectrum(model))
-            ), model
+            assert_pair_matches_the_scan(model, source)
 
     @given(tori_with_a_long_side())
     @settings(max_examples=60, deadline=None)
@@ -292,15 +307,22 @@ class TestFactorExtremalPair:
             lambda: extremal_pair(full_spectrum(model))
         )
 
+    @pytest.mark.parametrize("source", list(SpectrumSource))
     @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
-    def test_ties_spanning_several_indices(self, a):
+    def test_ties_spanning_several_indices(self, source, a):
         model = torus((299_999, 3), a)
-        re = full_spectrum(model).values[1:].real
+        re = full_spectrum(model, source).values[1:].real
         assert np.sum(re <= re.min() + 1e-9) >= 4
         assert np.sum(re >= re.max() - 1e-9) >= 8
-        assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
-            lambda: extremal_pair(full_spectrum(model))
-        )
+        assert_pair_matches_the_scan(model, source)
+
+    @pytest.mark.parametrize("dims", [(89, 5), (5, 89), (89, 89, 3), (4, 89, 6, 3)])
+    def test_oracle_factors_with_a_nonzero_consensus_value(self, dims):
+        # the oracle's index-0 value of the 89-ring is not exactly 0; its
+        # scan still skips flat position 0 and picks the closed-form pair
+        for a in A_GRID:
+            assert circulant_spectrum(circulant_row(ring(89, a)))[0] != 0
+            assert_pair_matches_the_scan(torus(dims, a), SpectrumSource.DFT_ORACLE)
 
 
 # a = 0 and 1, and two values at which every |Im| difference falls under
