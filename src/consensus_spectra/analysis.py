@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .topology import NetworkModel, r_nearest_ring, ring, torus
+from .topology import NetworkModel, _normalised, r_nearest_ring, ring, torus
 
 
 @dataclass(frozen=True)
@@ -53,43 +53,34 @@ class SweepRow:
         return d
 
 
-def _evaluate_point(model: NetworkModel, method: str) -> SweepRow:
-    base = {
-        "kind": model.kind.value,
-        "n": model.n,
-        "r": model.r,
-        "dims": model.dims,
-        "a": model.a,
-        "method": method,
-    }
+def _evaluate_point(template: NetworkModel, point: dict, method: str) -> SweepRow:
+    """The row of ``template`` with the fields of ``point`` replaced.  A
+    point that builds no model records the fields it would have stored."""
+    fields = {"n": template.n, "r": template.r, "dims": template.dims, "a": template.a} | point
+    base = {"kind": template.kind.value, **_normalised(**fields), "method": method}
     try:
+        model = dataclasses.replace(template, **point)
         design = DESIGN_METHODS[method](model)
-        symmetric = dataclasses.replace(model, a=0.0)
-        rate_sym = design_pipeline(symmetric).rate
-        return SweepRow(
-            h=design.h,
-            gamma=design.gamma,
-            rate=design.rate,
-            rate_symmetric=rate_sym,
-            absolute_error=rate_sym - design.rate,
-            **base,
-        )
+        rate_sym = design_pipeline(dataclasses.replace(model, a=0.0)).rate
     except ConsensusSpectraError as exc:
+        nan, error = math.nan, f"{type(exc).__name__}: {exc}"
         return SweepRow(
-            h=math.nan,
-            gamma=math.nan,
-            rate=math.nan,
-            rate_symmetric=math.nan,
-            absolute_error=math.nan,
-            error=f"{type(exc).__name__}: {exc}",
-            **base,
+            h=nan, gamma=nan, rate=nan, rate_symmetric=nan, absolute_error=nan, error=error, **base
         )
+    return SweepRow(
+        h=design.h,
+        gamma=design.gamma,
+        rate=design.rate,
+        rate_symmetric=rate_sym,
+        absolute_error=rate_sym - design.rate,
+        **base,
+    )
 
 
-def _evaluate_grid(models: list[NetworkModel], method: str) -> list[SweepRow]:
+def _evaluate_grid(points: list[tuple[NetworkModel, dict]], method: str) -> list[SweepRow]:
     if method not in DESIGN_METHODS:
         raise ValueError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
-    return [_evaluate_point(m, method) for m in models]
+    return [_evaluate_point(template, point, method) for template, point in points]
 
 
 def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> list[SweepRow]:
@@ -103,10 +94,8 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
     unknown = set(keys) - {"n", "r", "a", "dims"}
     if unknown:
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
-    models = []
-    for combo in product(*(varying[k] for k in keys)):
-        models.append(dataclasses.replace(template, **dict(zip(keys, combo))))
-    return _evaluate_grid(models, method)
+    points = [(template, dict(zip(keys, combo))) for combo in product(*(varying[k] for k in keys))]
+    return _evaluate_grid(points, method)
 
 
 @dataclass(frozen=True)
@@ -160,7 +149,7 @@ def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
         label, grid = "dimension", f"prefixes of sides {FIG6_SIDES}, m=1..5, a=0.3"
         models = [ring(FIG6_SIDES[0], 0.3)]
         models += [torus(FIG6_SIDES[:m], 0.3) for m in range(2, len(FIG6_SIDES) + 1)]
-        rows = _evaluate_grid(models, method)
+        rows = _evaluate_grid([(m, {}) for m in models], method)
     elif figure_id in _FIGURES:
         label, grid, template, varying = _FIGURES[figure_id]
         rows = sweep(template, varying, method=method)
@@ -179,20 +168,7 @@ def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
 
 # --- serialization ------------------------------------------------------------
 
-_COLUMNS = (
-    "kind",
-    "n",
-    "r",
-    "dims",
-    "a",
-    "h",
-    "gamma",
-    "rate",
-    "rate_symmetric",
-    "absolute_error",
-    "method",
-    "error",
-)
+_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def _cell(value) -> str:

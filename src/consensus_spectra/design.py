@@ -1,9 +1,9 @@
 """Best-constant weight design: consensus parameter, factor and rate.
 
-The canonical route (``design_pipeline``) works on any validated model:
-pick the extremal eigenvalue pair from the closed-form per-dimension
-factors (``spectral.factor_extremal_pair``; no full spectrum is
-built), solve
+The canonical route (``design_pipeline``) works on any model, checked
+when it was built (no route here validates again): pick the extremal
+eigenvalue pair from the closed-form per-dimension factors
+(``spectral.factor_extremal_pair``; no full spectrum is built), solve
 
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
@@ -55,7 +55,7 @@ from .spectral import (
     _factors,
     factor_extremal_pair,
 )
-from .topology import Kind, NetworkModel, validate
+from .topology import Kind, NetworkModel, format_model
 
 ASSUMPTION_NOTES = (
     "r-nearest closed forms read the squared asymmetry coefficient as a**2",
@@ -141,7 +141,6 @@ def design_pipeline(model: NetworkModel) -> ConsensusDesign:
 
 
 def formula_case(model: NetworkModel) -> str:
-    validate(model)
     parities = {k % 2 for k in model.shape}
     if len(parities) > 1:
         raise UnsupportedParityError(
@@ -502,7 +501,6 @@ def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
 def _minimax(model: NetworkModel) -> ConsensusDesign:
     """``minimax_h`` of the model's spectrum, from the closed-form
     per-dimension factors: O(sum of the sides), not O(N)."""
-    validate(model)
     z = _hull_candidates(_factors(model, SpectrumSource.CLOSED_FORM))
     z = z[_convex_hull(z)]
     if not np.any(np.abs(z - z[0]) > 1e-12):
@@ -577,7 +575,6 @@ def design_export_dict(
     reconciliation: ReconciledRate | None = None,
 ) -> dict:
     """JSON-ready summary including the catalog caveats."""
-    from .topology import format_model
 
     def ev_dict(ev: ComplexEigenvalue | None):
         if ev is None:

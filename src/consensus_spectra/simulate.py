@@ -36,7 +36,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, InsufficientDataError, ParameterError
-from .topology import Kind, NetworkModel, _is_int, dense_laplacian, validate
+from .topology import Kind, NetworkModel, _is_int, dense_laplacian
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -195,11 +195,13 @@ def run_consensus(
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value, which signals a non-contracting weight matrix.
     """
-    validate(model)
     # a copy: the state is double-buffered in place and x0 is never written
     x = np.array(x0, dtype=float)
     if x.shape != (model.order,):
         raise ParameterError(f"x0 has shape {x.shape}, model order is {model.order}")
+    if not np.isfinite(x).all():
+        # a NaN or an infinity would run every step to a trace of NaN norms
+        raise ParameterError("x0 must be finite, got a NaN or infinite entry")
     if not h > 0:
         raise ParameterError(f"consensus parameter must be positive, got h={h}")
     if not tolerance > 0:
@@ -316,12 +318,16 @@ def verify_consensus(
     ``run_consensus`` rejects, fails every trial unrun, as a diverging
     one fails at run time.
     """
+    if not (_is_int(trials) and _is_int(seed)):
+        raise ParameterError(
+            f"trials and seed must be integers, got trials={trials!r}, seed={seed!r}"
+        )
     if trials < 1:
         raise ParameterError("need at least one trial")
     results = []
     gamma = design.gamma
     for trial in range(trials):
-        trial_seed = seed + trial
+        trial_seed = int(seed) + trial
         if not design.h > 0:
             note = f"non-contracting design: h={design.h:.6g} <= 0"
             results.append(TrialResult(trial, trial_seed, math.nan, gamma, False, note))

@@ -21,6 +21,7 @@ part is a times an a-free sine sum, so the candidates for the pair are
 selected once per topology and a decides only the |imaginary part|
 tie-break among them.  The oracle checks a design through the scan,
 ``extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))``.
+No route validates its model: a ``NetworkModel`` is checked when built.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DegenerateError
-from .topology import Kind, NetworkModel, circulant_row, ring, validate
+from .topology import Kind, NetworkModel, circulant_row, ring
 
 
 class SpectrumSource(enum.Enum):
@@ -150,7 +151,6 @@ def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
 
 def closed_values(model: NetworkModel) -> np.ndarray:
     """All eigenvalues from the closed forms, as a flat complex array."""
-    validate(model)
     return _compose_cartesian(_factors(model, SpectrumSource.CLOSED_FORM))
 
 
@@ -159,7 +159,6 @@ def full_spectrum(
 ) -> Spectrum:
     """Complete spectrum via the requested route: the Cartesian sum of the
     per-dimension factors (see ``_factors``)."""
-    validate(model)
     return Spectrum(model=model, values=_compose_cartesian(_factors(model, source)), source=source)
 
 
@@ -223,8 +222,7 @@ def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tu
 
     Real parts and sine sums do not depend on a, so every a reuses them.
     1024 entries hold the acceptance grid's 361 topologies and a figure's
-    handful with room to spare; callers validate first (an invalid
-    model's fields can equal a valid one's).
+    handful with room to spare.
     """
     parts = _closed_parts(kind, shape, r)
 
@@ -286,7 +284,6 @@ def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
     which do not depend on a, so a topology's candidates are selected
     once; a enters only at the pick, which costs O(candidates).
     """
-    validate(model)
     sides = _closed_candidates(model.kind, model.shape, model.r)
     return _checked_pair(*(_pick(side, model.a) for side in sides))
 

@@ -42,7 +42,7 @@ class Kind(enum.Enum):
 
 def _is_int(v) -> bool:
     # stored sizes are plain ints, tested first: the ABC check costs about
-    # a microsecond, and validate runs on every design
+    # a microsecond, and validate runs on every model built
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
@@ -50,12 +50,27 @@ def _as_int(v):
     return int(v) if _is_int(v) else v
 
 
+def _normalised(n, r, dims, a) -> dict:
+    """The field values a model stores."""
+    # sizes are stored as Python ints in a tuple, so numpy integers
+    # export like ints; other values are left for validate to reject
+    if dims is not None:
+        dims = tuple(_as_int(k) for k in dims)
+    if isinstance(a, float) and a == 0.0:
+        # -0.0 is stored as 0.0: it formats as "a=0.0" and is one
+        # model with +0.0, as equality and hashing already say
+        a = 0.0
+    return {"n": _as_int(n), "r": _as_int(r), "dims": dims, "a": a}
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Topology descriptor plus the asymmetric link factor.
 
     Exactly one of the size fields is meaningful per kind: ``n`` for
-    RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.
+    RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.  A model
+    is validated once, when built (``dataclasses.replace`` included), so
+    no invalid model exists and no other layer validates again.
     """
 
     kind: Kind
@@ -65,16 +80,9 @@ class NetworkModel:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        # sizes are stored as Python ints in a tuple, so numpy integers
-        # export like ints; other values are left for validate to reject
-        object.__setattr__(self, "n", _as_int(self.n))
-        object.__setattr__(self, "r", _as_int(self.r))
-        if self.dims is not None:
-            object.__setattr__(self, "dims", tuple(_as_int(k) for k in self.dims))
-        if isinstance(self.a, float) and self.a == 0.0:
-            # -0.0 is stored as 0.0: it formats as "a=0.0" and is one
-            # model with +0.0, as equality and hashing already say
-            object.__setattr__(self, "a", 0.0)
+        for field, value in _normalised(self.n, self.r, self.dims, self.a).items():
+            object.__setattr__(self, field, value)
+        validate(self)
 
     @property
     def order(self) -> int:
@@ -97,15 +105,15 @@ class NetworkModel:
 
 
 def ring(n: int, a: float = 0.0) -> NetworkModel:
-    return validate(NetworkModel(kind=Kind.RING, a=a, n=n))
+    return NetworkModel(kind=Kind.RING, a=a, n=n)
 
 
 def r_nearest_ring(n: int, r: int, a: float = 0.0) -> NetworkModel:
-    return validate(NetworkModel(kind=Kind.R_NEAREST_RING, a=a, n=n, r=r))
+    return NetworkModel(kind=Kind.R_NEAREST_RING, a=a, n=n, r=r)
 
 
 def torus(dims, a: float = 0.0) -> NetworkModel:
-    return validate(NetworkModel(kind=Kind.TORUS, a=a, dims=dims))
+    return NetworkModel(kind=Kind.TORUS, a=a, dims=dims)
 
 
 _SIZE_FIELDS = {Kind.RING: ("n",), Kind.R_NEAREST_RING: ("n", "r"), Kind.TORUS: ("dims",)}
@@ -115,6 +123,7 @@ def validate(model: NetworkModel) -> NetworkModel:
     """Return ``model`` unchanged if all its invariants hold.
 
     Raises ParameterError naming the violated constraint otherwise.
+    ``NetworkModel.__post_init__`` runs it, so every built model passes.
     """
     a = model.a
     if isinstance(a, bool) or not (isinstance(a, (int, float)) and math.isfinite(a)):
@@ -165,7 +174,6 @@ def circulant_row(model: NetworkModel) -> np.ndarray:
     offset -1 the backward weight (1 + a) / 2; the Laplacian negates
     both.  Tori are not single circulants, use dense_laplacian.
     """
-    validate(model)
     if model.kind is Kind.TORUS:
         raise TopologyError("a torus is not a single circulant; use dense_laplacian")
     n, a = model.n, model.a
@@ -183,7 +191,7 @@ def _circulant_matrix(row: np.ndarray) -> np.ndarray:
     return row[idx]
 
 
-def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
+def dense_laplacian(model: NetworkModel) -> np.ndarray:
     """Materialize the full Laplacian matrix, node i at row i.  Row and
     column sums are both zero, which makes the consensus iteration
     average-preserving.
@@ -191,12 +199,12 @@ def dense_laplacian(model: NetworkModel, cap: int = DEFAULT_DENSE_CAP) -> np.nda
     1-D kinds expand their circulant row cyclically.  A torus is the
     Kronecker sum of ring Laplacians, one per dimension, all sharing the
     same asymmetric factor; node indices are mixed-radix with dimension
-    1 slowest-varying.
+    1 slowest-varying.  Raises SizeError, before allocating, past
+    ``DEFAULT_DENSE_CAP`` nodes.
     """
-    validate(model)
     order = model.order
-    if order > cap:
-        raise SizeError(f"order {order} exceeds dense cap {cap}")
+    if order > DEFAULT_DENSE_CAP:
+        raise SizeError(f"order {order} exceeds dense cap {DEFAULT_DENSE_CAP}")
     if model.kind is Kind.TORUS:
         mat = np.zeros((1, 1))
         for k in model.dims:
@@ -216,7 +224,7 @@ _DIMS_RE = _re.compile(r"^\d+(x\d+)+$")
 
 
 def parse_model(text: str) -> NetworkModel:
-    """Parse a model specification string into a validated model."""
+    """Parse a model specification string into a model."""
     head, _, body = text.strip().partition(":")
     head = head.lower()
     fields = {}
@@ -233,28 +241,27 @@ def parse_model(text: str) -> NetworkModel:
             raise ParameterError(f"model spec {text!r} is missing {key}=")
         return fields.pop(key)
 
+    # all fields are read first: a stray field is reported before a broken constraint
     try:
         if head == "ring":
-            model = NetworkModel(Kind.RING, n=int(need("n")), a=float(need("a")))
+            kind, sizes = Kind.RING, {"n": int(need("n"))}
         elif head == "rnearest":
-            model = NetworkModel(
-                Kind.R_NEAREST_RING, n=int(need("n")), r=int(need("r")), a=float(need("a"))
-            )
+            kind, sizes = Kind.R_NEAREST_RING, {"n": int(need("n")), "r": int(need("r"))}
         elif head == "torus":
             dims_text = need("dims")
             if not _DIMS_RE.match(dims_text):
                 raise ParameterError(f"malformed dims {dims_text!r}, expected <int>x<int>[x<int>...]")
-            dims = tuple(int(d) for d in dims_text.split("x"))
-            model = NetworkModel(Kind.TORUS, dims=dims, a=float(need("a")))
+            kind, sizes = Kind.TORUS, {"dims": tuple(int(d) for d in dims_text.split("x"))}
         else:
             raise ParameterError(
                 f"unknown model kind {head!r}; expected ring, rnearest or torus"
             )
+        a = float(need("a"))
     except ValueError as exc:
         raise ParameterError(f"bad numeric field in model spec {text!r}: {exc}") from exc
     if fields:
         raise ParameterError(f"unexpected fields {sorted(fields)} in model spec {text!r}")
-    return validate(model)
+    return NetworkModel(kind, a=a, **sizes)
 
 
 def _format_float(x: float) -> str:

@@ -46,6 +46,19 @@ class TestSweep:
         assert rows[1].error == ""
         assert rows[1].rate == pytest.approx(2 / 3)
 
+    def test_point_that_builds_no_model_recorded_in_row(self):
+        # the row carries the fields the model would have stored: sizes as
+        # Python ints, -0.0 as 0.0
+        rows = sweep(torus((3, 4), -0.0), {"dims": [(np.int64(5), 2), (5, 3)]})
+        bad, good = rows
+        assert bad.error == "ParameterError: torus needs every k_i an integer >= 3, got k_2=2"
+        assert (bad.kind, bad.n, bad.r, bad.dims) == ("torus", None, None, (5, 2))
+        assert all(type(k) is int for k in bad.dims)
+        assert math.copysign(1.0, bad.a) == 1.0
+        assert math.isnan(bad.rate) and math.isnan(bad.absolute_error)
+        assert good.error == "" and good.dims == (5, 3)
+        assert json.loads(rows_to_jsonl(rows).splitlines()[0])["dims"] == "5x2"
+
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown method"):
             sweep(ring(4, 0.5), {"n": [4]}, method="newton")

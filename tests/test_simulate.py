@@ -298,6 +298,15 @@ class TestRunConsensus:
         with pytest.raises(ParameterError):
             run_consensus(ring(4, 0.0), 0.5, [1.0, 2.0], 10, 1e-9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+    def test_non_finite_x0_rejected(self, bad, dense):
+        # a NaN or an infinity would run every step to a trace of NaN norms
+        x0 = uniform_vector(1, 8)
+        x0[3] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            run_consensus(ring(8, 0.3), 0.5, x0, 10, 1e-9, dense=dense)
+
     @pytest.mark.parametrize("max_steps", [-5, 2.5, True])
     def test_max_steps_must_be_a_non_negative_integer(self, max_steps):
         with pytest.raises(ParameterError, match="max_steps"):
@@ -432,6 +441,24 @@ class TestVerifyConsensus:
     def test_needs_trials(self):
         with pytest.raises(ParameterError):
             verify_consensus(ring(8, 0.0), design_pipeline(ring(8, 0.0)), trials=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "trials,seed",
+        [(2.5, 1), (True, 1), ("2", 1), (1, 1.5), (1, False), (1, None)],
+        ids=["trials-float", "trials-bool", "trials-str", "seed-float", "seed-bool", "seed-none"],
+    )
+    def test_trials_and_seed_must_be_integers(self, trials, seed):
+        # a float raised a bare TypeError, and trials=True ran one trial
+        model = ring(8, 0.0)
+        with pytest.raises(ParameterError, match="must be integers"):
+            verify_consensus(model, design_pipeline(model), trials=trials, seed=seed)
+
+    def test_numpy_integer_trials_and_seed_report_like_ints(self):
+        model = ring(8, 0.3)
+        design = design_pipeline(model)
+        got = verify_consensus(model, design, trials=np.int64(2), seed=np.int64(5))
+        assert got == verify_consensus(model, design, trials=2, seed=5)
+        assert all(type(t.seed) is int for t in got)
 
 
 @pytest.mark.parametrize("window", [0, -3, 2.5, True])

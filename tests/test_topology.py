@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from consensus_spectra import (
+    DEFAULT_DENSE_CAP,
     Kind,
     NetworkModel,
     ParameterError,
@@ -58,19 +60,105 @@ class TestValidate:
         assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
 
     @pytest.mark.parametrize(
-        "model",
+        "build",
         [
-            NetworkModel(Kind.RING, a=0.3, n=12, r=3),
-            NetworkModel(Kind.RING, a=0.3, n=12, dims=(3, 4)),
-            NetworkModel(Kind.R_NEAREST_RING, a=0.3, n=12, r=3, dims=(3, 4)),
-            NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), r=1),
-            NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), n=12),
+            lambda: NetworkModel(Kind.RING, a=0.3, n=12, r=3),
+            lambda: NetworkModel(Kind.RING, a=0.3, n=12, dims=(3, 4)),
+            lambda: NetworkModel(Kind.R_NEAREST_RING, a=0.3, n=12, r=3, dims=(3, 4)),
+            lambda: NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), r=1),
+            lambda: NetworkModel(Kind.TORUS, a=0.3, dims=(3, 4), n=12),
         ],
         ids=["ring-r", "ring-dims", "rnearest-dims", "torus-r", "torus-n"],
     )
-    def test_size_field_of_another_kind_rejected(self, model):
+    def test_size_field_of_another_kind_rejected(self, build):
+        # the models are built inside the test: building one raises
         with pytest.raises(ParameterError, match="takes no"):
-            validate(model)
+            validate(build())
+
+    @pytest.mark.parametrize(
+        "fields,build,spec,message",
+        [
+            (
+                # n = 5, r = 2 is the complete graph, reported as such
+                dict(kind=Kind.R_NEAREST_RING, a=0.0, n=5, r=2),
+                lambda: r_nearest_ring(5, 2, 0.0),
+                "rnearest:n=5,r=2,a=0.0",
+                "n = 2r + 1 = 5 makes every node adjacent to every other (a complete graph); "
+                "model it densely and use the generic pipeline instead",
+            ),
+            (
+                dict(kind=Kind.R_NEAREST_RING, a=0.0, n=6, r=3),
+                lambda: r_nearest_ring(6, 3, 0.0),
+                "rnearest:n=6,r=3,a=0.0",
+                "r-nearest ring needs n >= 2r + 2 = 8 so the two neighbor arcs stay disjoint, got n=6",
+            ),
+            (
+                dict(kind=Kind.RING, a=1.2, n=4),
+                lambda: ring(4, 1.2),
+                "ring:n=4,a=1.2",
+                "asymmetric factor a=1.2 outside [0, 1]",
+            ),
+            (
+                dict(kind=Kind.R_NEAREST_RING, a=0.0, n=7, r=3),
+                lambda: r_nearest_ring(7, 3, 0.0),
+                "rnearest:n=7,r=3,a=0.0",
+                "n = 2r + 1 = 7 makes every node adjacent to every other (a complete graph); "
+                "model it densely and use the generic pipeline instead",
+            ),
+            (
+                dict(kind=Kind.RING, a=0.0, n=2),
+                lambda: ring(2, 0.0),
+                "ring:n=2,a=0.0",
+                "ring needs integer n >= 3, got n=2",
+            ),
+            (
+                dict(kind=Kind.TORUS, a=0.0, dims=(4, 2)),
+                lambda: torus((4, 2), 0.0),
+                "torus:dims=4x2,a=0.0",
+                "torus needs every k_i an integer >= 3, got k_2=2",
+            ),
+            (
+                dict(kind=Kind.TORUS, a=0.0, dims=(5,)),
+                lambda: torus((5,), 0.0),
+                # the grammar cannot spell a one-sided torus
+                None,
+                "torus needs at least 2 dimensions, got dims=(5,)",
+            ),
+        ],
+        ids=[
+            "rnearest-n5-r2",
+            "rnearest-arcs",
+            "a-range",
+            "complete-graph",
+            "small-ring",
+            "torus-side",
+            "torus-one-dim",
+        ],
+    )
+    def test_every_route_builds_through_validate(self, fields, build, spec, message):
+        # construction, dataclasses.replace, the wrappers and the grammar all
+        # raise validate's message: no route builds an invalid model
+        valid = {
+            Kind.RING: ring(8, 0.5),
+            Kind.R_NEAREST_RING: r_nearest_ring(12, 3, 0.5),
+            Kind.TORUS: torus((3, 4), 0.5),
+        }[fields["kind"]]
+        routes = [
+            lambda: NetworkModel(**fields),
+            lambda: dataclasses.replace(valid, **fields),
+            build,
+        ]
+        if spec is not None:
+            routes.append(lambda: parse_model(spec))
+        for route in routes:
+            with pytest.raises(ParameterError) as raised:
+                route()
+            assert str(raised.value) == message
+
+    def test_grammar_reports_a_stray_field_before_the_constraint_it_breaks(self):
+        # ring:n=2 alone breaks n >= 3; the stray r is named first
+        with pytest.raises(ParameterError, match=r"unexpected fields \['r'\]"):
+            parse_model("ring:n=2,a=0.3,r=1")
 
     @pytest.mark.parametrize(
         "build",
@@ -192,8 +280,9 @@ class TestDenseLaplacian:
         assert np.allclose(np.diag(lap), 3.0)
 
     def test_dense_cap(self):
+        # raised before the order**2 matrix is allocated
         with pytest.raises(SizeError):
-            dense_laplacian(ring(200, 0.0), cap=100)
+            dense_laplacian(ring(DEFAULT_DENSE_CAP + 1, 0.0))
 
     def test_order(self):
         assert dense_laplacian(torus((3, 4), 0.0)).shape == (12, 12)
