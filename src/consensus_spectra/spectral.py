@@ -2,13 +2,13 @@
 
 Two independent routes produce the same spectrum:
 
-* closed trigonometric forms, one expression per family;
-* the discrete Fourier transform of the circulant first row (the
-  oracle route, kept free of any closed form).
+* closed trigonometric forms, one expression for every factor;
+* the discrete Fourier transform of each factor's circulant first row
+  (the oracle route, kept free of any closed form).
 
-Either way a spectrum is the Cartesian sum of per-dimension factors: a
-torus sums its per-ring spectra over the index grid, and a ring or an
-r-nearest ring is one factor.
+Either way a spectrum is the Cartesian sum of the spectra of the
+model's circulant factors (``NetworkModel.factors``) over the index
+grid.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index, and extremal selection looks for the smallest and
@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import DegenerateError
-from .topology import Kind, NetworkModel, circulant_row, ring
+from .topology import NetworkModel, factor_row
 
 
 class SpectrumSource(enum.Enum):
@@ -72,12 +72,8 @@ class Spectrum:
     values: np.ndarray
     source: SpectrumSource
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.model.shape
-
     def index_tuple(self, pos: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(pos, self.shape))
+        return tuple(int(c) for c in np.unravel_index(pos, self.model.shape))
 
     def eigenvalue(self, pos: int) -> ComplexEigenvalue:
         v = self.values[pos]
@@ -107,12 +103,6 @@ def circulant_spectrum(row: np.ndarray) -> np.ndarray:
     return len(row) * np.fft.ifft(row)
 
 
-def _closed_rnearest_parts(j: np.ndarray, n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(1, r + 1)[None, :]
-    angle = 2.0 * np.pi * j[:, None] * k / n
-    return r - np.cos(angle).sum(axis=1), np.sin(angle).sum(axis=1)
-
-
 def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     """Sum per-dimension eigenvalues over the full index grid, flattened
     with dimension 1 slowest-varying."""
@@ -122,31 +112,28 @@ def _compose_cartesian(per_dim: list[np.ndarray]) -> np.ndarray:
     return reduce(outer_sum, per_dim)
 
 
-def _closed_parts(kind: Kind, shape: tuple[int, ...], r) -> list[tuple]:
-    """Closed-form (real part, sine sum) of each per-dimension factor (an
-    r-nearest ring is one factor, a ring the 1-torus's one factor, and
-    each torus side a ring, the r = 1 r-nearest factor).  Neither depends
-    on a."""
-    if kind is Kind.R_NEAREST_RING:
-        return [_closed_rnearest_parts(np.arange(shape[0]), shape[0], r)]
-    return [_closed_rnearest_parts(np.arange(k), k, 1) for k in shape]
+def _closed_parts(factors: tuple[tuple[int, int], ...]) -> list[tuple]:
+    """Closed-form (real part, sine sum) of each circulant factor (side n,
+    radius r): r - sum of cos(2 pi j k / n) and sum of sin(2 pi j k / n)
+    over k = 1..r, at every index j.  Neither depends on a."""
+    parts = []
+    for n, r in factors:
+        angle = 2.0 * np.pi * np.arange(n)[:, None] * np.arange(1, r + 1)[None, :] / n
+        parts.append((r - np.cos(angle).sum(axis=1), np.sin(angle).sum(axis=1)))
+    return parts
 
 
 def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
-    """The model's per-dimension factor spectra from the requested route;
-    ``_compose_cartesian`` of them is its full spectrum.
+    """The spectra of the model's circulant factors from the requested
+    route; ``_compose_cartesian`` of them is its full spectrum.
 
-    DFT_ORACLE transforms the circulant row of an r-nearest ring, or of
-    each side's ring for a torus (the ring is the 1-torus), which stays
+    DFT_ORACLE transforms each factor's circulant row, which stays
     independent of the trigonometric simplification.
     """
     if source is SpectrumSource.CLOSED_FORM:
         # real part + (1j * a) * sine sum
-        parts = _closed_parts(model.kind, model.shape, model.r)
-        return [re + 1j * model.a * s for re, s in parts]
-    if model.kind is Kind.R_NEAREST_RING:
-        return [circulant_spectrum(circulant_row(model))]
-    return [circulant_spectrum(circulant_row(ring(k, model.a))) for k in model.shape]
+        return [re + 1j * model.a * s for re, s in _closed_parts(model.factors)]
+    return [circulant_spectrum(factor_row(n, r, model.a)) for n, r in model.factors]
 
 
 def closed_values(model: NetworkModel) -> np.ndarray:
@@ -208,8 +195,9 @@ def _checked_pair(lam_s: ComplexEigenvalue, lam_l: ComplexEigenvalue) -> Extrema
 
 
 @lru_cache(maxsize=1024)
-def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tuple]:
-    """The candidates for lambda_s and for lambda_l of one topology: every
+def _closed_candidates(factors: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
+    """The candidates for lambda_s and for lambda_l of one topology (its
+    circulant factors, so a ring and the r = 1 r-nearest ring share): every
     nonzero index tuple whose composed real part lies within the tie
     tolerance of the nonzero minimum (maximum), in flat index order, each
     as (index, real part, per-dimension sine sums).
@@ -221,10 +209,10 @@ def _closed_candidates(kind: Kind, shape: tuple[int, ...], r) -> tuple[tuple, tu
     which reproduces every real part and the flat index order.
 
     Real parts and sine sums do not depend on a, so every a reuses them.
-    1024 entries hold the acceptance grid's 361 topologies and a figure's
-    handful with room to spare.
+    1024 entries hold the acceptance grid's 302 topologies (361 models;
+    59 rings share factors) and a figure's handful with room to spare.
     """
-    parts = _closed_parts(kind, shape, r)
+    parts = _closed_parts(factors)
 
     def side(sign: float) -> tuple:
         # sign 1 selects the smallest nonzero real part, sign -1 the
@@ -284,7 +272,7 @@ def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
     which do not depend on a, so a topology's candidates are selected
     once; a enters only at the pick, which costs O(candidates).
     """
-    sides = _closed_candidates(model.kind, model.shape, model.r)
+    sides = _closed_candidates(model.factors)
     return _checked_pair(*(_pick(side, model.a) for side in sides))
 
 
@@ -294,7 +282,7 @@ def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
 def _rows(spectrum: Spectrum):
     """(index components, real part, imaginary part) of every flat
     position, as Python ints and floats."""
-    shape = spectrum.shape
+    shape = spectrum.model.shape
     index = np.indices(shape).reshape(len(shape), -1).T.tolist()
     return zip(index, spectrum.values.real.tolist(), spectrum.values.imag.tolist())
 

@@ -2,9 +2,9 @@
 
 Four regular families are supported: the ring, the r-nearest-neighbor
 ring, the 2-D torus and the m-dimensional torus (the torus kind covers
-every m >= 2).  The ring stays a kind of its own for the model grammar
-and the closed-form catalog, but every kernel treats it as the 1-torus:
-its ``shape`` is (n,) and its degree weight is m = 1.
+every m >= 2), each a Cartesian sum of directed circulant factors
+(``NetworkModel.factors``), which the spectra and Laplacians read.  The
+ring stays a kind of its own for the model grammar and the catalog.
 
 Links are directional: the forward neighbor of a node is weighted
 (1 - a) / 2 and the backward neighbor (1 + a) / 2, where a in [0, 1] is
@@ -26,6 +26,7 @@ import math
 import numbers
 import re as _re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,10 +92,8 @@ class NetworkModel:
 
     @property
     def degree_weight(self) -> float:
-        """Diagonal Laplacian entry: r (r-nearest), m (torus, ring m = 1)."""
-        if self.kind is Kind.R_NEAREST_RING:
-            return float(self.r)
-        return float(len(self.shape))
+        """Diagonal Laplacian entry: the sum of the factors' radii."""
+        return float(sum(r for _, r in self.factors))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -102,6 +101,14 @@ class NetworkModel:
         if self.kind is Kind.TORUS:
             return self.dims
         return (self.n,)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[int, int], ...]:
+        """(side, radius) of each circulant factor, one per dimension: ((n, r),)
+        for an r-nearest ring, (k, 1) per side for a ring or a torus."""
+        if self.kind is Kind.R_NEAREST_RING:
+            return ((self.n, self.r),)
+        return tuple([(k, 1) for k in self.shape])
 
 
 def ring(n: int, a: float = 0.0) -> NetworkModel:
@@ -166,29 +173,32 @@ def validate(model: NetworkModel) -> NetworkModel:
     return model
 
 
-def circulant_row(model: NetworkModel) -> np.ndarray:
-    """First Laplacian row for the 1-D families; its cyclic shifts are
-    the whole matrix and its entries sum to zero.
+def factor_row(side: int, radius: int, a: float) -> np.ndarray:
+    """First Laplacian row of one circulant factor; its cyclic shifts are
+    the factor's matrix and its entries sum to zero.
 
-    Offset +1 (next index mod n) carries the forward weight (1 - a) / 2,
-    offset -1 the backward weight (1 + a) / 2; the Laplacian negates
-    both.  Tori are not single circulants, use dense_laplacian.
+    Offsets +1..+radius (next indices mod side) carry the forward weight
+    (1 - a) / 2, offsets -1..-radius the backward weight (1 + a) / 2; the
+    Laplacian negates both.
     """
-    if model.kind is Kind.TORUS:
-        raise TopologyError("a torus is not a single circulant; use dense_laplacian")
-    n, a = model.n, model.a
-    r = 1 if model.kind is Kind.RING else model.r  # a ring is the r = 1 row
-    row = np.zeros(n)
-    row[0] = float(r)
-    row[1 : r + 1] = (-1.0 + a) / 2.0
-    row[n - r : n] = (-1.0 - a) / 2.0
+    row = np.zeros(side)
+    row[0] = float(radius)
+    row[1 : radius + 1] = (-1.0 + a) / 2.0
+    row[side - radius : side] = (-1.0 - a) / 2.0
     return row
 
 
-def _circulant_matrix(row: np.ndarray) -> np.ndarray:
-    n = len(row)
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    return row[idx]
+def circulant_row(model: NetworkModel) -> np.ndarray:
+    """First Laplacian row of a one-factor model (a ring or an r-nearest
+    ring).  Tori are not single circulants, use dense_laplacian."""
+    if len(model.factors) > 1:
+        raise TopologyError("a torus is not a single circulant; use dense_laplacian")
+    return factor_row(*model.factors[0], model.a)
+
+
+def _factor_matrix(side: int, radius: int, a: float) -> np.ndarray:
+    idx = (np.arange(side)[None, :] - np.arange(side)[:, None]) % side
+    return factor_row(side, radius, a)[idx]
 
 
 def dense_laplacian(model: NetworkModel) -> np.ndarray:
@@ -196,22 +206,21 @@ def dense_laplacian(model: NetworkModel) -> np.ndarray:
     column sums are both zero, which makes the consensus iteration
     average-preserving.
 
-    1-D kinds expand their circulant row cyclically.  A torus is the
-    Kronecker sum of ring Laplacians, one per dimension, all sharing the
-    same asymmetric factor; node indices are mixed-radix with dimension
-    1 slowest-varying.  Raises SizeError, before allocating, past
+    The Laplacian is the Kronecker sum of the factors' circulant
+    matrices, all sharing the same asymmetric factor; node indices are
+    mixed-radix with dimension 1 slowest-varying, and a one-factor model
+    is its factor's matrix.  Raises SizeError, before allocating, past
     ``DEFAULT_DENSE_CAP`` nodes.
     """
     order = model.order
     if order > DEFAULT_DENSE_CAP:
         raise SizeError(f"order {order} exceeds dense cap {DEFAULT_DENSE_CAP}")
-    if model.kind is Kind.TORUS:
-        mat = np.zeros((1, 1))
-        for k in model.dims:
-            ring_lap = _circulant_matrix(circulant_row(ring(k, model.a)))
-            mat = np.kron(mat, np.eye(k)) + np.kron(np.eye(mat.shape[0]), ring_lap)
-        return mat
-    return _circulant_matrix(circulant_row(model))
+    first, *rest = model.factors
+    mat = _factor_matrix(*first, model.a)
+    for side, radius in rest:
+        lap = _factor_matrix(side, radius, model.a)
+        mat = np.kron(mat, np.eye(side)) + np.kron(np.eye(mat.shape[0]), lap)
+    return mat
 
 
 # --- model grammar -----------------------------------------------------------

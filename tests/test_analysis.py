@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from consensus_spectra import (
+    ParameterError,
     figure_dataset,
     ring,
     rows_to_csv,
@@ -58,6 +59,10 @@ class TestSweep:
         assert math.isnan(bad.rate) and math.isnan(bad.absolute_error)
         assert good.error == "" and good.dims == (5, 3)
         assert json.loads(rows_to_jsonl(rows).splitlines()[0])["dims"] == "5x2"
+
+    def test_unknown_field_raises(self):
+        with pytest.raises(ParameterError, match=r"cannot vary \['x'\]"):
+            sweep(ring(8), {"x": [1]})
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown method"):

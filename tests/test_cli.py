@@ -49,6 +49,43 @@ class TestDesignCommand:
         assert code == 2
         assert "UnsupportedParityError" in err
 
+    def test_minimax_with_a_degenerate_pair(self, capsys):
+        # the 3-ring's pair has equal moduli, so neither the pair nor the
+        # catalog reconciliation exists; minimax still solves
+        code, out, _ = invoke(capsys, "design", "--model", "ring:n=3,a=0.3", "--method", "minimax")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "Minimax"
+        assert (payload["lambda_s"], payload["lambda_l"], payload["reconciliation"]) == (None, None, None)
+        assert payload["h"] > 0
+
+    def test_mixed_parity_has_no_reconciliation(self, capsys):
+        code, out, _ = invoke(capsys, "design", "--model", "torus:dims=4x5,a=0.3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "PairSolve"
+        assert payload["reconciliation"] is None
+        assert payload["lambda_s"]["index"] == [0, 1]
+
+    def test_csv_header_and_one_row(self, capsys):
+        code, out, _ = invoke(capsys, "design", "--model", "ring:n=4,a=0.5", "--format", "csv")
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == "model;h;gamma;rate;method"
+        fields = row.split(";")
+        assert fields[0] == "ring:n=4,a=0.5" and fields[-1] == "PairSolve"
+        assert float(fields[1]) == pytest.approx(8 / 11, abs=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path, fmt):
+        argv = ["design", "--model", "rnearest:n=12,r=3,a=0.25", "--format", fmt]
+        code, printed, _ = invoke(capsys, *argv)
+        assert code == 0
+        path = tmp_path / f"design.{fmt}"
+        code, out, _ = invoke(capsys, *argv, "--out", str(path))
+        assert (code, out) == (0, "")
+        assert path.read_bytes() == printed.encode()
+
     def test_model_string_round_trips(self, capsys):
         code, out, _ = invoke(capsys, "design", "--model", "rnearest:n=12,r=3,a=0.25")
         printed = json.loads(out)["model"]

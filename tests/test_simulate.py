@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -430,6 +431,20 @@ class TestVerifyConsensus:
         report = json.loads(proc.stdout)
         assert report and not any(entry["pass"] for entry in report)
         assert all(entry["note"].startswith("non-contracting design: h=") for entry in report)
+
+    def test_wrong_gamma_recorded_as_failure(self):
+        # the iteration still contracts at the true factor; only the
+        # promised gamma is off, by more than the tolerance
+        model = ring(16, 0.3)
+        design = design_pipeline(model)
+        wrong = dataclasses.replace(design, gamma=design.gamma + 0.1)
+        report = verify_consensus(model, wrong, trials=2, seed=42)
+        assert not any(r.passed for r in report)
+        for r in report:
+            assert r.gamma == wrong.gamma
+            assert r.empirical_factor == pytest.approx(design.gamma, abs=1e-6)
+            assert r.note == f"empirical factor {r.empirical_factor:.6f} vs gamma {wrong.gamma:.6f}"
+        assert report[0].note == "empirical factor 0.933049 vs gamma 1.033049"
 
     def test_deterministic_given_seed(self):
         model = ring(12, 0.2)

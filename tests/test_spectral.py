@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import json
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from consensus_spectra import (
     DegenerateError,
+    Kind,
     SpectrumSource,
     circulant_row,
     circulant_spectrum,
@@ -130,6 +132,45 @@ class TestRingFactor:
             assert full_spectrum(ring(n, a)).values.tobytes() == factor.tobytes()
             composed = (factor[:, None] + ring_factor_as_written(3, a)[None, :]).ravel()
             assert full_spectrum(torus((n, 3), a)).values.tobytes() == composed.tobytes()
+
+
+def oracle_by_sides(model):
+    """The DFT oracle as per-side ring spectra (one row for a 1-D kind),
+    summed over the index grid with dimension 1 slowest."""
+    if model.kind is Kind.R_NEAREST_RING:
+        return circulant_spectrum(circulant_row(model))
+    sides = [circulant_spectrum(circulant_row(ring(k, model.a))) for k in model.shape]
+    return reduce(lambda acc, nxt: np.add.outer(acc, nxt).ravel(), sides)
+
+
+class TestOracleFactors:
+    @pytest.mark.parametrize(
+        "model",
+        [
+            ring(9, 0.3),
+            r_nearest_ring(14, 3, 0.7),
+            r_nearest_ring(9, 1, 0.2),
+            torus((3, 4), 0.6),
+            torus((3, 4, 5), 0.3),
+            torus((8, 3), 1.0),
+        ],
+        ids=["ring", "rnearest", "rnearest-r1", "torus3x4", "torus3x4x5", "torus8x3"],
+    )
+    def test_bit_identical_to_per_side_rings(self, model):
+        values = full_spectrum(model, SpectrumSource.DFT_ORACLE).values
+        assert values.tobytes() == oracle_by_sides(model).tobytes()
+
+    def test_ring_shares_the_radius_one_rnearest_candidates(self):
+        # a ring and the r = 1 r-nearest ring have the same factors, so the
+        # ring's pair is a cache hit on the r-nearest ring's candidates
+        spectral._closed_candidates.cache_clear()
+        first = factor_extremal_pair(r_nearest_ring(9, 1, 0.3))
+        before = spectral._closed_candidates.cache_info()
+        pair = factor_extremal_pair(ring(9, 0.3))
+        after = spectral._closed_candidates.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        assert pair_bits(lambda: pair) == pair_bits(lambda: first)
+        assert pair_bits(lambda: pair) == pair_bits(lambda: extremal_pair(full_spectrum(ring(9, 0.3))))
 
 
 class TestFullSpectrum:

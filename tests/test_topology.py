@@ -32,8 +32,9 @@ class TestValidate:
         assert validate(m) is m
 
     def test_rnearest_needs_disjoint_arcs(self):
-        with pytest.raises(ParameterError, match="2r"):
-            validate(NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=5, r=2))
+        # n = 6 < 2r + 1 = 7: the arcs overlap, which is not the complete graph
+        with pytest.raises(ParameterError, match="disjoint"):
+            validate(NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=6, r=3))
 
     def test_a_out_of_range(self):
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):
@@ -58,6 +59,11 @@ class TestValidate:
 
     def test_one_directional_ring_allowed(self):
         assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
+
+    def test_kind_must_be_a_kind(self):
+        # the grammar's name is not the enum member
+        with pytest.raises(ParameterError, match="^unknown kind 'ring'$"):
+            NetworkModel(kind="ring", a=0.0, n=5)
 
     @pytest.mark.parametrize(
         "build",
@@ -201,6 +207,34 @@ class TestValidate:
         assert type(model.n) is int and type(model.r) is int
 
 
+class TestFactors:
+    """A model is the Cartesian sum of its circulant factors (side, radius)."""
+
+    @pytest.mark.parametrize(
+        "model,factors",
+        [
+            (ring(8, 0.5), ((8, 1),)),
+            (r_nearest_ring(12, 3, 0.5), ((12, 3),)),
+            (r_nearest_ring(9, 1, 0.5), ((9, 1),)),
+            (torus((3, 4), 0.5), ((3, 1), (4, 1))),
+            (torus((5, 3, 4), 0.5), ((5, 1), (3, 1), (4, 1))),
+        ],
+        ids=["ring", "rnearest", "rnearest-r1", "torus2", "torus3"],
+    )
+    def test_factors_and_degree(self, model, factors):
+        assert model.factors == factors
+        # one factor per dimension of the index space
+        assert tuple(side for side, _ in factors) == model.shape
+        # the degree is 2 * sum of the radii, the diagonal entry half of it
+        assert model.degree_weight == float(sum(r for _, r in factors))
+        assert type(model.degree_weight) is float
+
+    def test_factors_follow_replace(self):
+        model = r_nearest_ring(12, 3, 0.5)
+        assert model.factors == ((12, 3),)
+        assert dataclasses.replace(model, r=2).factors == ((12, 2),)
+
+
 class TestCirculantRow:
     def test_ring_layout(self):
         row = circulant_row(ring(4, 0.5))
@@ -241,7 +275,43 @@ def torus33_by_neighbor_enumeration(a: float) -> np.ndarray:
     return lap
 
 
+def circulant_reference(side: int, radius: int, a: float) -> np.ndarray:
+    """One factor's Laplacian entry by entry: radius on the diagonal, the
+    negated forward weight at offsets +1..+radius, the negated backward
+    weight at offsets -1..-radius."""
+    lap = np.zeros((side, side))
+    for i in range(side):
+        lap[i, i] = float(radius)
+        for k in range(1, radius + 1):
+            lap[i, (i + k) % side] = (-1.0 + a) / 2.0
+            lap[i, (i - k) % side] = (-1.0 - a) / 2.0
+    return lap
+
+
+def kronecker_sum_reference(factors, a: float) -> np.ndarray:
+    """L_1 (+) L_2 (+) ..., dimension 1 slowest: L (x) I + I (x) L_next."""
+    mat = circulant_reference(*factors[0], a)
+    for side, radius in factors[1:]:
+        nxt = circulant_reference(side, radius, a)
+        mat = np.kron(mat, np.eye(side)) + np.kron(np.eye(mat.shape[0]), nxt)
+    return mat
+
+
 class TestDenseLaplacian:
+    @pytest.mark.parametrize(
+        "model,factors",
+        [
+            (ring(7, 0.4), [(7, 1)]),
+            (r_nearest_ring(11, 3, 0.9), [(11, 3)]),
+            (torus((3, 4), 0.6), [(3, 1), (4, 1)]),
+            (torus((3, 4, 5), 0.3), [(3, 1), (4, 1), (5, 1)]),
+            (torus((4, 3), 1.0), [(4, 1), (3, 1)]),
+        ],
+        ids=["ring", "rnearest", "torus3x4", "torus3x4x5", "torus4x3-a1"],
+    )
+    def test_bit_identical_to_the_kronecker_sum(self, model, factors):
+        assert dense_laplacian(model).tobytes() == kronecker_sum_reference(factors, model.a).tobytes()
+
     def test_symmetric_ring4(self):
         lap = dense_laplacian(ring(4, 0.0))
         assert np.allclose(np.diag(lap), 1.0)
@@ -332,6 +402,13 @@ class TestModelGrammar:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParameterError):
             parse_model(bad)
+
+    def test_field_without_equals_named(self):
+        with pytest.raises(ParameterError, match="malformed field 'n8'"):
+            parse_model("ring:n8,a=0.3")
+
+    def test_empty_fields_skipped(self):
+        assert parse_model("ring:n=8,,a=0.3") == ring(8, 0.3)
 
     @given(
         st.integers(min_value=3, max_value=200),
