@@ -3,18 +3,25 @@
 The iteration preserves the mean of the state vector (column sums of L
 are zero), so the error norm tracked here is the Euclidean distance to
 the uniform vector at the initial average.  Per-step multiplication
-either materializes the dense Laplacian or exploits structure (two
-circular window sums for the r-nearest ring, per-axis cyclic shifts on
-the torus grid, of which the ring is the one-axis case); both produce
-identical traces.
+either reads the materialized Laplacian's nonzeros or exploits
+structure (two circular window sums for the r-nearest ring, per-axis
+cyclic shifts on the torus grid, of which the ring is the one-axis
+case).  The two routes sum in different orders, so their traces agree
+to about 1e-12, not bit for bit.
 
-The structured step allocates nothing per step: its buffers and the
-double-buffered state are allocated once per run.  A torus shift is a
-flat contiguous copy by the axis stride whose wrap slab in each block is
-then overwritten; the window sums run on a padded copy of the deviation
-from the state's mean, which each step takes once for the averages and
-the next step alike.  The error is taken in a spent buffer, so a run
-holds four state-sized vectors on a torus.  Each step does the float
+The dense step builds L once per run with ``dense_laplacian``, keeps its
+nonzeros as a (k, n) table of column indices and one of weights (every
+row of a Kronecker sum of circulants has the same count k) and releases
+L; a step gathers, multiplies and sums the k terms of each row in
+ascending column order, O(n k) rather than O(n^2).
+
+Neither step allocates: the buffers and the double-buffered state are
+allocated once per run.  A torus shift is a flat contiguous copy by the
+axis stride whose wrap slab in each block is then overwritten; the
+window sums run on a padded copy of the deviation from the state's
+mean, which each step takes once for the averages and the next step
+alike.  The error is taken in a spent buffer, so a run holds four
+state-sized vectors on a torus.  Each structured step does the float
 operations of the allocating expressions
 ``x - h * (degree * x + fw * roll(x, -1) + bw * roll(x, 1) + ...)`` and
 ``r * d + fw * ahead + bw * behind`` in the same order, so its traces
@@ -169,6 +176,41 @@ def _structured_apply_L(model: NetworkModel):
     return apply
 
 
+def _dense_apply_L(model: NetworkModel):
+    """Return (x, mean) -> L @ x over the materialized Laplacian's
+    nonzeros; ``mean`` is not read.
+
+    L comes from ``dense_laplacian``, so this route does not share the
+    structured step's kernels.  Its nonzeros are read once: every row of
+    a Kronecker sum of circulants has the same count k (2d + 1 for
+    degree weight d, d + 1 at a = 1, where the forward weights are 0), so
+    they fit a (k, n) table of column indices and one of weights.  The
+    step keeps only the tables, so L is released when this returns.  A
+    step gathers and weights the (k, n) terms and reduces over the first
+    axis, which adds row i's nonzeros of L in ascending column order, and
+    allocates nothing: each call overwrites and returns the same output
+    array.
+    """
+    lap = dense_laplacian(model)
+    n = model.order
+    rows, cols = np.nonzero(lap)
+    # np.nonzero lists row by row, columns ascending within a row
+    idx = cols.reshape(n, -1).T.copy()
+    weights = lap[rows, cols].reshape(n, -1).T.copy()
+    terms = np.empty_like(weights)
+    out = np.empty(n)
+
+    def apply(x, mean):
+        # every index is in range, so "wrap" changes none; the default
+        # "raise" would copy the gather through a temporary of the table's size
+        np.take(x, idx, out=terms, mode="wrap")
+        np.multiply(terms, weights, out=terms)
+        np.add.reduce(terms, axis=0, out=out)
+        return out
+
+    return apply
+
+
 def _check_window(window: int) -> None:
     # window = 0 would fail in numpy, a negative one would silently
     # average over the wrong slice of ratios and a fractional one would
@@ -189,8 +231,9 @@ def run_consensus(
     ``max_steps`` is exhausted.
 
     The dense cap bounds only the ``dense=True`` path, which materializes
-    L; the default structured step is O(n) and runs at any size.  The
-    empirical factor is taken over the last ``DEFAULT_WINDOW`` steps.
+    L once and then steps over its nonzeros; the default structured step
+    is O(n) and runs at any size.  The empirical factor is taken over the
+    last ``DEFAULT_WINDOW`` steps.
 
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value, which signals a non-contracting weight matrix.
@@ -209,14 +252,7 @@ def run_consensus(
     if not (_is_int(max_steps) and max_steps >= 0):
         raise ParameterError(f"max_steps must be a non-negative integer, got {max_steps!r}")
 
-    if dense:
-        lap = dense_laplacian(model)
-
-        def apply_L(v, mean):
-            return lap @ v
-
-    else:
-        apply_L = _structured_apply_L(model)
+    apply_L = _dense_apply_L(model) if dense else _structured_apply_L(model)
 
     # x.mean(), the same pairwise sum and division without the wrapper;
     # the state's mean is taken once per step and read by both the

@@ -26,7 +26,6 @@ import math
 import numbers
 import re as _re
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +71,10 @@ class NetworkModel:
     RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.  A model
     is validated once, when built (``dataclasses.replace`` included), so
     no invalid model exists and no other layer validates again.
+
+    ``factors`` holds the (side, radius) of each circulant factor, one
+    per dimension: ((n, r),) for an r-nearest ring, (k, 1) per side for a
+    ring or a torus.  It is set once, when the model is built.
     """
 
     kind: Kind
@@ -84,6 +87,13 @@ class NetworkModel:
         for field, value in _normalised(self.n, self.r, self.dims, self.a).items():
             object.__setattr__(self, field, value)
         validate(self)
+        # a plain attribute, not a field: equality, hashing and repr read
+        # the fields alone
+        if self.kind is Kind.R_NEAREST_RING:
+            factors = ((self.n, self.r),)
+        else:
+            factors = tuple([(k, 1) for k in self.shape])
+        object.__setattr__(self, "factors", factors)
 
     @property
     def order(self) -> int:
@@ -101,14 +111,6 @@ class NetworkModel:
         if self.kind is Kind.TORUS:
             return self.dims
         return (self.n,)
-
-    @cached_property
-    def factors(self) -> tuple[tuple[int, int], ...]:
-        """(side, radius) of each circulant factor, one per dimension: ((n, r),)
-        for an r-nearest ring, (k, 1) per side for a ring or a torus."""
-        if self.kind is Kind.R_NEAREST_RING:
-            return ((self.n, self.r),)
-        return tuple([(k, 1) for k in self.shape])
 
 
 def ring(n: int, a: float = 0.0) -> NetworkModel:
@@ -197,8 +199,31 @@ def circulant_row(model: NetworkModel) -> np.ndarray:
 
 
 def _factor_matrix(side: int, radius: int, a: float) -> np.ndarray:
-    idx = (np.arange(side)[None, :] - np.arange(side)[:, None]) % side
-    return factor_row(side, radius, a)[idx]
+    # entry (i, j) is row[(j - i) % side]: window side - i of the doubled
+    # row, so the matrix is one copy of a strided view, with no index matrix
+    row = factor_row(side, radius, a)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), side)
+    return windows[side:0:-1].copy()
+
+
+def _kronecker_sum(mat: np.ndarray, lap: np.ndarray) -> np.ndarray:
+    """kron(mat, I) + kron(I, lap), with the same products and sums, built
+    in the one result array.  The identity's entries are 0.0 and 1.0, so
+    the second term's blocks are 0.0 * lap off the block diagonal and
+    1.0 * lap on it; each product keeps its sign of zero."""
+    m, s = len(mat), len(lap)
+    out = np.empty((m * s, m * s))
+    blocks = out.reshape(m, s, m, s)
+    eye = np.eye(s)
+    np.multiply(mat[:, None, :, None], eye[None, :, None, :], out=blocks)
+    np.add(blocks, 0.0 * lap[None, :, None, :], out=blocks)
+    # the diagonal blocks are made again, with 1.0 * lap as the second term
+    unit = 1.0 * lap
+    for i in range(m):
+        block = blocks[i, :, i, :]
+        np.multiply(mat[i, i], eye, out=block)
+        np.add(block, unit, out=block)
+    return out
 
 
 def dense_laplacian(model: NetworkModel) -> np.ndarray:
@@ -209,8 +234,9 @@ def dense_laplacian(model: NetworkModel) -> np.ndarray:
     The Laplacian is the Kronecker sum of the factors' circulant
     matrices, all sharing the same asymmetric factor; node indices are
     mixed-radix with dimension 1 slowest-varying, and a one-factor model
-    is its factor's matrix.  Raises SizeError, before allocating, past
-    ``DEFAULT_DENSE_CAP`` nodes.
+    is its factor's matrix.  Each Kronecker sum is built in its result
+    array, so the peak is about one n x n matrix.  Raises SizeError,
+    before allocating, past ``DEFAULT_DENSE_CAP`` nodes.
     """
     order = model.order
     if order > DEFAULT_DENSE_CAP:
@@ -218,8 +244,7 @@ def dense_laplacian(model: NetworkModel) -> np.ndarray:
     first, *rest = model.factors
     mat = _factor_matrix(*first, model.a)
     for side, radius in rest:
-        lap = _factor_matrix(side, radius, model.a)
-        mat = np.kron(mat, np.eye(side)) + np.kron(np.eye(mat.shape[0]), lap)
+        mat = _kronecker_sum(mat, _factor_matrix(side, radius, model.a))
     return mat
 
 

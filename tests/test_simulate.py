@@ -29,7 +29,12 @@ from consensus_spectra import (
     uniform_vector,
     verify_consensus,
 )
-from consensus_spectra.simulate import DEFAULT_WINDOW, _late_window_factor, _structured_apply_L
+from consensus_spectra.simulate import (
+    DEFAULT_WINDOW,
+    _dense_apply_L,
+    _late_window_factor,
+    _structured_apply_L,
+)
 from consensus_spectra.topology import Kind, dense_laplacian
 
 
@@ -111,17 +116,27 @@ def reference_apply_L(model):
     return apply
 
 
+def reference_dense_apply_L(model):
+    """The allocating dense step: each row's nonzeros of the materialized
+    Laplacian, summed left to right in ascending column order."""
+    lap = dense_laplacian(model)
+    cols = np.array([np.flatnonzero(row) for row in lap])
+    weights = np.take_along_axis(lap, cols, axis=1)
+
+    def apply(x):
+        terms = weights * x[cols]
+        acc = terms[:, 0]
+        for j in range(1, cols.shape[1]):
+            acc = acc + terms[:, j]
+        return acc
+
+    return apply
+
+
 def reference_run(model, h, x0, max_steps, tolerance, dense=False):
     """The allocating consensus loop; returns (steps, error_norms,
     averages, empirical_factor, converged) or raises DivergenceError."""
-    if dense:
-        lap = dense_laplacian(model)
-
-        def apply_L(v):
-            return lap @ v
-
-    else:
-        apply_L = reference_apply_L(model)
+    apply_L = reference_dense_apply_L(model) if dense else reference_apply_L(model)
     x = np.asarray(x0, dtype=float)
     target = x.mean()
     errors = [float(np.linalg.norm(x - target))]
@@ -185,6 +200,62 @@ class TestStructuredApply:
         got = _structured_apply_L(model)(x, x.mean())
         expected = dense_laplacian(model) @ d
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(d)
+
+
+class TestDenseApply:
+    @pytest.mark.parametrize("model", _apply_models(), ids=format_model)
+    def test_matches_lap_times_x(self, model):
+        # entry by entry, within the rounding of two k-term sums: unlike
+        # error norms, this tells L from L^T
+        lap = dense_laplacian(model)
+        x = uniform_vector(5, model.order) - 0.5
+        got = _dense_apply_L(model)(x, x.mean())
+        k = np.count_nonzero(lap, axis=1)
+        assert np.all(k == k[0])
+        bound = 2 * k * np.finfo(float).eps * (np.abs(lap) @ np.abs(x))
+        assert np.all(np.abs(got - lap @ x) <= bound)
+
+    def test_step_allocates_nothing(self):
+        model = torus((30, 30), 0.3)
+        apply = _dense_apply_L(model)
+        x = uniform_vector(1, model.order)
+        apply(x, x.mean())
+        tracemalloc.start()
+        try:
+            for _ in range(3):
+                apply(x, x.mean())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+    def test_run_releases_L(self):
+        # L is materialized once, read into (k, n) tables and released: the
+        # peak is one n x n matrix plus O(n k), and no step holds L.  The
+        # loop takes the error norm before the first step and after each
+        # one, so its calls sample the memory held during the steps
+        model = torus((40, 50), 0.3)
+        n, k = model.order, 5
+        x0 = uniform_vector(1, n)
+        held = []
+
+        def sample(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "error_norm":
+                held.append(tracemalloc.get_traced_memory()[0])
+
+        tracemalloc.start()
+        sys.setprofile(sample)
+        try:
+            run_consensus(model, 0.1, x0, 5, 1e-300, dense=True)
+        finally:
+            sys.setprofile(None)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert len(held) == 6
+        # the nonzeros' rows, columns and weights, and the two tables
+        assert peak <= n * n * 8 + 6 * n * k * 8 + 2**16
+        # the index, weight and term tables and four state vectors
+        assert max(held) <= 3 * n * k * 8 + 4 * x0.nbytes + 2**16
 
 
 class TestRunConsensus:

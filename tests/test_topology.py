@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,15 @@ class TestFactors:
         assert model.factors == ((12, 3),)
         assert dataclasses.replace(model, r=2).factors == ((12, 2),)
 
+    def test_factors_is_not_a_field(self):
+        # set once when the model is built; equality, hashing and repr
+        # read the fields alone
+        model = torus((5, 3), 0.5)
+        assert "factors" not in {f.name for f in dataclasses.fields(model)}
+        assert "factors" not in repr(model)
+        assert model == torus((5, 3), 0.5)
+        assert hash(model) == hash(torus((5, 3), 0.5))
+
 
 class TestCirculantRow:
     def test_ring_layout(self):
@@ -348,6 +358,20 @@ class TestDenseLaplacian:
     def test_torus_diagonal_is_dimension(self):
         lap = dense_laplacian(torus((3, 4, 3), 0.3))
         assert np.allclose(np.diag(lap), 3.0)
+
+    @pytest.mark.parametrize(
+        "model", [torus((40, 40), 0.3), r_nearest_ring(1600, 8, 0.3)], ids=format_model
+    )
+    def test_peak_memory_is_the_result(self, model):
+        # built in the one result array: no Kronecker term, sum or index
+        # matrix of the result's size is held beside it
+        tracemalloc.start()
+        try:
+            lap = dense_laplacian(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * lap.nbytes
 
     def test_dense_cap(self):
         # raised before the order**2 matrix is allocated
