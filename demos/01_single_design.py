@@ -13,17 +13,17 @@ import consensus_spectra as cs
 
 model = cs.ring(4, a=0.5)
 print(f"model: {cs.format_model(model)}")
-print(f"Laplacian first row: {cs.circulant_row(model)}")
+print(f"Laplacian first row: {cs.dense_laplacian(model)[0]}")
 
 spectrum = cs.full_spectrum(model)
 print("\neigenvalues (index, value):")
 for j, value in enumerate(spectrum.values):
     print(f"  j={j}: {value:.6f}")
 
-pair = cs.extremal_pair(spectrum)
+pipeline = cs.design_pipeline(model)
+pair = pipeline.extremal
 print(f"\nextremal pair: lambda_s = {pair.lambda_s.value}, lambda_l = {pair.lambda_l.value}")
 
-pipeline = cs.design_pipeline(model)
 print(f"\npair-solve design: h = {pipeline.h:.12f}  (8/11 = {8/11:.12f})")
 print(f"                   gamma = {pipeline.gamma:.12f}  (5/11 = {5/11:.12f})")
 print(f"                   rate = {pipeline.rate:.12f}  (6/11 = {6/11:.12f})")

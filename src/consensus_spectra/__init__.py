@@ -36,7 +36,6 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     SizeError,
-    TopologyError,
     UnsupportedParityError,
 )
 from .simulate import (
@@ -57,7 +56,6 @@ from .spectral import (
     SpectrumSource,
     circulant_spectrum,
     closed_values,
-    extremal_pair,
     factor_extremal_pair,
     full_spectrum,
     spectrum_to_csv,
@@ -67,7 +65,6 @@ from .topology import (
     DEFAULT_DENSE_CAP,
     Kind,
     NetworkModel,
-    circulant_row,
     dense_laplacian,
     format_model,
     parse_model,

@@ -22,7 +22,6 @@ from .errors import (
     ConsensusSpectraError,
     DegenerateError,
     ParameterError,
-    TopologyError,
     UnsupportedParityError,
 )
 
@@ -229,7 +228,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except ConsensusSpectraError as exc:
         sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
-        return 1 if isinstance(exc, (ParameterError, TopologyError)) else 2
+        return 1 if isinstance(exc, ParameterError) else 2
 
 
 def main() -> None:

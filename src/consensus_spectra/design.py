@@ -1,13 +1,16 @@
 """Best-constant weight design: consensus parameter, factor and rate.
 
 The canonical route (``design_pipeline``) works on any model, checked
-when it was built (no route here validates again): pick the extremal
-eigenvalue pair from the closed-form per-dimension factors
-(``spectral.factor_extremal_pair``; no full spectrum is built), solve
+when it was built (no route here validates again).  It picks lambda_s,
+the nonzero eigenvalue of minimum real part, and lambda_l, the
+eigenvalue of maximum real part; a real-part tie goes to the largest
+|imaginary part| and then to the smallest index.  The pair comes from
+the closed-form per-dimension factors (``spectral.factor_extremal_pair``;
+no full spectrum is built).  It then solves
 
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
-for the single nonzero real h, and report the convergence factor
+for the single nonzero real h, and reports the convergence factor
 gamma = |1 - h*lambda_s| and rate R = 1 - gamma.
 
 A catalog of closed-form expressions covers each topology/parity case
@@ -31,9 +34,7 @@ the per-dimension factor hulls, and the minimizing h is an active
 vertex's own minimizer or the crossing of two active vertices.  It too
 reads only the model's closed-form per-dimension factors:
 ``minimax_h(spectrum)`` takes the spectrum's model, not its values or
-source, and no design route builds a full spectrum.  Every design reads
-the closed forms; the DFT oracle checks them through the full-spectrum
-scan (``spectral.extremal_pair``).
+source, and no design route builds a full spectrum.
 """
 
 from __future__ import annotations
@@ -457,10 +458,11 @@ def _convex_hull(z: np.ndarray) -> np.ndarray:
     return np.concatenate(chains)
 
 
-def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
-    """Values whose convex hull is that of the nonzero eigenvalues of the
-    Cartesian sum of ``factors`` (a ring or an r-nearest ring is one
-    factor), each with the consensus value exactly 0j at index 0.
+def _hull_candidates(model: NetworkModel) -> np.ndarray:
+    """Values whose convex hull is that of the model's nonzero
+    eigenvalues, from its closed-form factors (a ring or an r-nearest
+    ring is one factor), each with the consensus value exactly 0j at
+    index 0.
 
     The hull of a Cartesian sum is the Minkowski sum of the factor
     hulls, whose boundary is the factor edges merged by angle; the
@@ -470,8 +472,12 @@ def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
     those on one factor's axis: a vertex with two nonzero components
     beats, in its supporting direction, both tuples that drop one of
     them, so it beats the all-zeros tuple too and is a vertex of the
-    whole hull.  Each factor's nonzero hull vertices cover the rest.
+    whole hull.  So the candidates are the merged vertices with two or
+    more nonzero components and each factor's nonzero hull vertices, the
+    latter once per distinct (side, radius), as equal factors have equal
+    vertices.
     """
+    factors = _factors(model, SpectrumSource.CLOSED_FORM)
 
     def polygon(f, positions):
         # counter-clockwise from the lowest vertex, so that the edge
@@ -493,15 +499,16 @@ def _hull_candidates(factors: list[np.ndarray]) -> np.ndarray:
         step = owner == e
         at.append(p[(np.cumsum(step) - step) % len(p)])
     merged = reduce(operator.add, [f[i] for f, i in zip(factors, at)])
-    nonzero = np.any(at, axis=0)  # every vertex but the all-zeros one
-    axes = [f[_convex_hull(f[1:]) + 1] for f in factors]
-    return np.concatenate([merged[nonzero]] + axes)
+    mixed = np.count_nonzero(at, axis=0) > 1
+    distinct = dict(zip(model.factors, factors)).values()
+    axes = [f[_convex_hull(f[1:]) + 1] for f in distinct]
+    return np.concatenate([merged[mixed]] + axes)
 
 
 def _minimax(model: NetworkModel) -> ConsensusDesign:
     """``minimax_h`` of the model's spectrum, from the closed-form
     per-dimension factors: O(sum of the sides), not O(N)."""
-    z = _hull_candidates(_factors(model, SpectrumSource.CLOSED_FORM))
+    z = _hull_candidates(model)
     z = z[_convex_hull(z)]
     if not np.any(np.abs(z - z[0]) > 1e-12):
         raise DegenerateError("need at least two distinct nonzero eigenvalues")

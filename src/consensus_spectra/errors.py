@@ -9,10 +9,6 @@ class ParameterError(ConsensusSpectraError):
     """A network model violates one of its parameter constraints."""
 
 
-class TopologyError(ConsensusSpectraError):
-    """An operation was applied to a topology kind it does not support."""
-
-
 class SizeError(ConsensusSpectraError):
     """A dense operation would exceed its node cap."""
 

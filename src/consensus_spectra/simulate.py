@@ -236,7 +236,8 @@ def run_consensus(
     last ``DEFAULT_WINDOW`` steps.
 
     Raises DivergenceError once the error norm passes 1e6 times its
-    initial value, which signals a non-contracting weight matrix.
+    initial value or turns NaN, which signals a non-contracting weight
+    matrix; the steps run with numpy's overflow warnings off.
     """
     # a copy: the state is double-buffered in place and x0 is never written
     x = np.array(x0, dtype=float)
@@ -245,10 +246,10 @@ def run_consensus(
     if not np.isfinite(x).all():
         # a NaN or an infinity would run every step to a trace of NaN norms
         raise ParameterError("x0 must be finite, got a NaN or infinite entry")
-    if not h > 0:
-        raise ParameterError(f"consensus parameter must be positive, got h={h}")
-    if not tolerance > 0:
-        raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if not (h > 0 and math.isfinite(h)):
+        raise ParameterError(f"consensus parameter must be positive and finite, got h={h}")
+    if not (tolerance > 0 and math.isfinite(tolerance)):
+        raise ParameterError(f"tolerance must be positive and finite, got {tolerance}")
     if not (_is_int(max_steps) and max_steps >= 0):
         raise ParameterError(f"max_steps must be a non-negative integer, got {max_steps!r}")
 
@@ -272,25 +273,27 @@ def run_consensus(
     # been subtracted, so each lends its memory to the error
     errors = [error_norm(x, nxt)]
     averages = [float(mean)]
-    initial_error = errors[0]
+    limit = _DIVERGENCE_FACTOR * max(errors[0], 1e-300)
     converged = errors[0] <= tolerance
     steps = 0
-    while not converged and steps < max_steps:
-        step = apply_L(x, mean)
-        np.multiply(step, h, out=step)
-        np.subtract(x, step, out=nxt)
-        x, nxt = nxt, x
-        steps += 1
-        err = error_norm(x, step)
-        mean = np.add.reduce(x) / n
-        errors.append(err)
-        averages.append(float(mean))
-        if err > _DIVERGENCE_FACTOR * max(initial_error, 1e-300):
-            raise DivergenceError(
-                f"error norm {err:.3e} exceeded {_DIVERGENCE_FACTOR:.0e} x initial after {steps} steps"
-            )
-        if err <= tolerance:
-            converged = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        while not converged and steps < max_steps:
+            step = apply_L(x, mean)
+            np.multiply(step, h, out=step)
+            np.subtract(x, step, out=nxt)
+            x, nxt = nxt, x
+            steps += 1
+            err = error_norm(x, step)
+            mean = np.add.reduce(x) / n
+            errors.append(err)
+            averages.append(float(mean))
+            # an overflowed state gives an infinite or NaN norm
+            if not err <= limit:
+                raise DivergenceError(
+                    f"error norm {err:.3e} exceeded {_DIVERGENCE_FACTOR:.0e} x initial after {steps} steps"
+                )
+            if err <= tolerance:
+                converged = True
 
     error_norms = np.array(errors)
     return SimulationTrace(
@@ -350,9 +353,9 @@ def verify_consensus(
     asserts average preservation, convergence when gamma < 1, and that
     the contraction measured over the last ``DEFAULT_WINDOW`` steps is
     within max(0.01, 0.02 * gamma) of the design gamma.  Failures become
-    report entries, they do not raise: a design with h <= 0, which
-    ``run_consensus`` rejects, fails every trial unrun, as a diverging
-    one fails at run time.
+    report entries, they do not raise: a design whose h is not positive
+    and finite, which ``run_consensus`` rejects, fails every trial unrun,
+    as a diverging one fails at run time.
     """
     if not (_is_int(trials) and _is_int(seed)):
         raise ParameterError(
@@ -360,13 +363,17 @@ def verify_consensus(
         )
     if trials < 1:
         raise ParameterError("need at least one trial")
+    unrun = ""
+    if not math.isfinite(design.h):
+        unrun = f"non-finite design: h={design.h}"
+    elif design.h <= 0:
+        unrun = f"non-contracting design: h={design.h:.6g} <= 0"
     results = []
     gamma = design.gamma
     for trial in range(trials):
         trial_seed = int(seed) + trial
-        if not design.h > 0:
-            note = f"non-contracting design: h={design.h:.6g} <= 0"
-            results.append(TrialResult(trial, trial_seed, math.nan, gamma, False, note))
+        if unrun:
+            results.append(TrialResult(trial, trial_seed, math.nan, gamma, False, unrun))
             continue
         x0 = uniform_vector(trial_seed, model.order)
         note = ""

@@ -11,16 +11,16 @@ model's circulant factors (``NetworkModel.factors``) over the index
 grid.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
-all-zeros index, and extremal selection looks for the smallest and
-largest real parts.  ``extremal_pair`` scans a full spectrum from either
-route.  The designs read the closed-form factors only:
-``factor_extremal_pair`` selects the closed-form pair per factor,
-without building the N eigenvalues.  Closed-form real parts are
-independent of the asymmetric factor a, and each factor's imaginary
-part is a times an a-free sine sum, so the candidates for the pair are
-selected once per topology and a decides only the |imaginary part|
-tie-break among them.  The oracle checks a design through the scan,
-``extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))``.
+all-zeros index.  Every design reads one extremal pair,
+``factor_extremal_pair``: lambda_s is the nonzero eigenvalue of minimum
+real part, lambda_l the eigenvalue of maximum real part, a real-part tie
+(within 1e-9) goes to the largest |imaginary part| (within 1e-9) and
+then to the smallest flat index.  It reads the closed-form
+per-dimension factors without building the N eigenvalues.  Closed-form
+real parts are independent of the asymmetric factor a, and each
+factor's imaginary part is a times an a-free sine sum, so the
+candidates for the pair are selected once per topology and a decides
+only the |imaginary part| tie-break among them.
 No route validates its model: a ``NetworkModel`` is checked when built.
 """
 
@@ -71,13 +71,6 @@ class Spectrum:
     model: NetworkModel
     values: np.ndarray
     source: SpectrumSource
-
-    def index_tuple(self, pos: int) -> tuple[int, ...]:
-        return tuple(int(c) for c in np.unravel_index(pos, self.model.shape))
-
-    def eigenvalue(self, pos: int) -> ComplexEigenvalue:
-        v = self.values[pos]
-        return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=self.index_tuple(pos))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -153,47 +146,6 @@ _RE_TIE_TOL = 1e-9
 _MODULUS_TOL = 1e-12
 
 
-def extremal_pair(spectrum: Spectrum) -> ExtremalPair:
-    """Select the second-smallest and largest eigenvalues.
-
-    lambda_s is the nonzero eigenvalue of minimum real part, lambda_l
-    the eigenvalue of maximum real part.  Real-part ties are broken by
-    the largest |imaginary part| and then the smallest index: among
-    equal real parts the largest |im| member has the largest modulus of
-    1 - h*lambda for any h > 0, so it is the member that actually
-    constrains the design (it also reproduces the index-1 and
-    half-index choices conventional for these families).
-
-    Raises DegenerateError when the two moduli coincide, which makes
-    the equal-modulus equation for h unsolvable (3-node ring).
-    """
-    values = spectrum.values
-    if len(values) < 2:
-        raise DegenerateError("spectrum has no nonzero eigenvalue")
-    nz = values[1:]  # flat position 0 is the consensus eigenvalue
-    re = nz.real
-    im_abs = np.abs(nz.imag)
-
-    def pick(candidate_mask: np.ndarray) -> int:
-        cand = np.flatnonzero(candidate_mask)
-        best_im = im_abs[cand].max()
-        cand = cand[im_abs[cand] >= best_im - _RE_TIE_TOL]
-        return int(cand.min()) + 1  # back to flat spectrum position
-
-    s_pos = pick(re <= re.min() + _RE_TIE_TOL)
-    l_pos = pick(re >= re.max() - _RE_TIE_TOL)
-    return _checked_pair(spectrum.eigenvalue(s_pos), spectrum.eigenvalue(l_pos))
-
-
-def _checked_pair(lam_s: ComplexEigenvalue, lam_l: ComplexEigenvalue) -> ExtremalPair:
-    if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= _MODULUS_TOL * max(1.0, lam_l.modulus_sq):
-        raise DegenerateError(
-            f"extremal eigenvalues have equal moduli (|l_s|^2 = {lam_s.modulus_sq!r}, "
-            f"|l_l|^2 = {lam_l.modulus_sq!r}); no nonzero consensus parameter exists"
-        )
-    return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
-
-
 @lru_cache(maxsize=1024)
 def _closed_candidates(factors: tuple[tuple[int, int], ...]) -> tuple[tuple, tuple]:
     """The candidates for lambda_s and for lambda_l of one topology (its
@@ -217,7 +169,7 @@ def _closed_candidates(factors: tuple[tuple[int, int], ...]) -> tuple[tuple, tup
     def side(sign: float) -> tuple:
         # sign 1 selects the smallest nonzero real part, sign -1 the
         # largest; negation is exact, so every sum and threshold is the
-        # negation of the one extremal_pair computes
+        # negation of the one a scan of the full spectrum computes
         re = [sign * p[0] for p in parts]
         low_nz = [float(r[1:].min()) for r in re]
         low = [min(float(r[0]), v) for r, v in zip(re, low_nz)]
@@ -244,8 +196,8 @@ def _closed_candidates(factors: tuple[tuple[int, int], ...]) -> tuple[tuple, tup
 
 
 def _pick(side: tuple, a: float) -> ComplexEigenvalue:
-    """``extremal_pair``'s tie rule on one side's candidates: the largest
-    |imaginary part| within the tolerance, then the smallest flat index.
+    """The tie rule on one side's candidates: the largest |imaginary
+    part| within the tolerance, then the smallest flat index.
     A factor's imaginary part is 0.0 + a * (its sine sum), the bits of
     ``_factors``' ``re + 1j * a * s``; a candidate's is their sum in
     ``_compose_cartesian`` order."""
@@ -265,15 +217,29 @@ def _pick(side: tuple, a: float) -> ComplexEigenvalue:
 
 
 def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
-    """``extremal_pair(full_spectrum(model))``, bit for bit, from the
-    closed-form per-dimension factors alone: O(sum of the sides), not O(N).
+    """The design's extremal pair, from the closed-form per-dimension
+    factors alone: O(sum of the sides), not O(N).
 
-    The candidates (``_closed_candidates``) come from the real parts,
-    which do not depend on a, so a topology's candidates are selected
-    once; a enters only at the pick, which costs O(candidates).
+    lambda_s is the nonzero eigenvalue of minimum real part, lambda_l the
+    eigenvalue of maximum real part.  A real-part tie (within 1e-9) goes
+    to the largest |imaginary part| (within 1e-9), then to the smallest
+    flat index: among equal real parts the largest |im| member has the
+    largest modulus of 1 - h*lambda for any h > 0, so it constrains the
+    design.  Each value has the bits of ``full_spectrum(model)``'s entry
+    at its index.  The candidates (``_closed_candidates``) come from the
+    a-free real parts, once per topology; a enters only at the pick, in
+    O(candidates).
+
+    Raises DegenerateError when the two moduli coincide, which makes the
+    equal-modulus equation for h unsolvable (3-node ring).
     """
-    sides = _closed_candidates(model.factors)
-    return _checked_pair(*(_pick(side, model.a) for side in sides))
+    lam_s, lam_l = (_pick(side, model.a) for side in _closed_candidates(model.factors))
+    if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= _MODULUS_TOL * max(1.0, lam_l.modulus_sq):
+        raise DegenerateError(
+            f"extremal eigenvalues have equal moduli (|l_s|^2 = {lam_s.modulus_sq!r}, "
+            f"|l_l|^2 = {lam_l.modulus_sq!r}); no nonzero consensus parameter exists"
+        )
+    return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
 
 
 # --- export -------------------------------------------------------------------

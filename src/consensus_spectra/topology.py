@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError, TopologyError
+from .errors import ParameterError, SizeError
 
 DEFAULT_DENSE_CAP = 10_000
 
@@ -188,14 +188,6 @@ def factor_row(side: int, radius: int, a: float) -> np.ndarray:
     row[1 : radius + 1] = (-1.0 + a) / 2.0
     row[side - radius : side] = (-1.0 - a) / 2.0
     return row
-
-
-def circulant_row(model: NetworkModel) -> np.ndarray:
-    """First Laplacian row of a one-factor model (a ring or an r-nearest
-    ring).  Tori are not single circulants, use dense_laplacian."""
-    if len(model.factors) > 1:
-        raise TopologyError("a torus is not a single circulant; use dense_laplacian")
-    return factor_row(*model.factors[0], model.a)
 
 
 def _factor_matrix(side: int, radius: int, a: float) -> np.ndarray:

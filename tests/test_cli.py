@@ -175,12 +175,40 @@ class TestSimulateAndVerify:
         assert code == 0
         assert json.loads(out)["steps"] == 3
 
-    def test_simulate_negative_steps_exit_1(self, capsys):
-        code, out, err = invoke(capsys, "simulate", "--model", "ring:n=8,a=0.3", "--steps", "-5")
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--steps", "-5"),
+            # a JSON summary of a run with h = inf would hold Infinity,
+            # which is not JSON
+            ("--h", "inf", "--format", "json"),
+            ("--tolerance", "inf"),
+            ("--h", "inf", "--tolerance", "inf", "--format", "json"),
+        ],
+        ids=["negative-steps", "h-inf", "tolerance-inf", "both-inf"],
+    )
+    def test_simulate_bad_value_exit_1(self, capsys, flags):
+        code, out, err = invoke(capsys, "simulate", "--model", "ring:n=8,a=0.3", *flags)
         assert code == 1
         assert out == ""
         lines = err.strip().split("\n")
         assert len(lines) == 1 and lines[0].startswith("error type=ParameterError")
+
+    def test_simulate_overflow_one_error_line(self):
+        # a subprocess, so that numpy's warnings reach stderr as they would
+        # for a user: only the one machine-parsable line may appear
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_spectra.cli", "simulate", "--model", "ring:n=8,a=0.3", "--h", "1e300"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error type=DivergenceError"), proc.stderr
 
     def test_simulate_json_summary(self, capsys):
         code, out, _ = invoke(

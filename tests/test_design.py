@@ -22,7 +22,6 @@ from consensus_spectra import (
     closed_form_h,
     design_export_dict,
     design_pipeline,
-    extremal_pair,
     full_spectrum,
     minimax_h,
     parse_model,
@@ -54,6 +53,7 @@ from consensus_spectra.design import (
     formula_case,
 )
 from conftest import A_GRID, grid_models, ring_models, rnearest_models, torus_models
+from spectrum_scan import extremal_pair
 
 
 class TestSolveHPair:
@@ -569,7 +569,7 @@ class TestMinimaxFromFactors:
                 with monkeypatch.context() as mp:
                     # the reference: the same exact solve on the closed
                     # form's _convex_hull(values[1:])
-                    mp.setattr(design, "_hull_candidates", lambda factors: closed.values[1:])
+                    mp.setattr(design, "_hull_candidates", lambda model: closed.values[1:])
                     reference = outcome(lambda: minimax_h(closed))
                 assert got == {reference}, model
 
@@ -585,9 +585,23 @@ class TestMinimaxFromFactors:
     def test_one_merge_of_the_factor_hulls(self, dims):
         # one merge of the full hulls plus each factor's nonzero hull,
         # not one merge per dimension
-        factors = spectral._factors(torus(dims, 0.3), SpectrumSource.CLOSED_FORM)
+        model = torus(dims, 0.3)
+        factors = spectral._factors(model, SpectrumSource.CLOSED_FORM)
         bound = sum(len(design._convex_hull(f)) + len(design._convex_hull(f[1:])) for f in factors)
-        assert len(design._hull_candidates(factors)) <= bound
+        assert len(design._hull_candidates(model)) <= bound
+
+    @pytest.mark.parametrize("a", [0.3, 1.0])
+    @pytest.mark.parametrize(
+        "dims, distinct",
+        [((1000, 1000, 1000), 3996), ((8, 8, 8), 28), ((10, 10, 10, 10), 46)],
+        ids=["1000^3", "8^3", "10^4"],
+    )
+    def test_each_candidate_enters_once(self, dims, distinct, a):
+        # equal sides share their axis vertices, and a merged vertex on one
+        # factor's axis is one of them
+        z = design._hull_candidates(torus(dims, a))
+        assert len(np.unique(z)) == distinct
+        assert len(z) == distinct
 
     @pytest.mark.parametrize("method", sorted(DESIGN_METHODS))
     def test_no_design_route_builds_a_spectrum(self, method, monkeypatch):

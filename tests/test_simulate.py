@@ -283,9 +283,23 @@ class TestRunConsensus:
         assert not trace.converged
         assert trace.empirical_factor >= 0.99
 
-    def test_divergence_detected(self):
+    @pytest.mark.parametrize(
+        "model, h, max_steps",
+        [
+            (ring(8, 0.0), 2.0, 2000),
+            # h = 1e300 overflows the step and the norm; pytest turns
+            # warnings into errors, so the guard's error must be the only
+            # signal
+            (ring(8, 0.3), 1e300, 5),
+            (r_nearest_ring(12, 3, 0.3), 1e300, 5),
+            (torus((3, 4), 0.3), 1e300, 5),
+        ],
+        ids=["ring", "ring-overflow", "rnearest-overflow", "torus-overflow"],
+    )
+    @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+    def test_divergence_detected(self, model, h, max_steps, dense):
         with pytest.raises(DivergenceError):
-            run_consensus(ring(8, 0.0), 2.0, uniform_vector(1, 8), 2000, 1e-12)
+            run_consensus(model, h, uniform_vector(1, model.order), max_steps, 1e-12, dense=dense)
 
     @given(
         _structured_models,
@@ -378,6 +392,16 @@ class TestRunConsensus:
         x0[3] = bad
         with pytest.raises(ParameterError, match="finite"):
             run_consensus(ring(8, 0.3), 0.5, x0, 10, 1e-9, dense=dense)
+
+    @pytest.mark.parametrize("field", ["h", "tolerance"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+    def test_non_finite_h_or_tolerance_rejected(self, field, dense):
+        # h = inf steps to a trace of NaN norms, which no guard compares
+        # above its limit; tolerance = inf ends every run at step 0
+        args = {"h": 0.5, "tolerance": 1e-9, field: math.inf}
+        x0 = [1, 1, 1, 1, 0, 0, 0, 0]
+        with pytest.raises(ParameterError, match="finite"):
+            run_consensus(ring(8, 0.3), args["h"], x0, 20, args["tolerance"], dense=dense)
 
     @pytest.mark.parametrize("max_steps", [-5, 2.5, True])
     def test_max_steps_must_be_a_non_negative_integer(self, max_steps):
@@ -487,6 +511,16 @@ class TestVerifyConsensus:
         assert all(math.isnan(r.empirical_factor) for r in report)
         with pytest.raises(ParameterError):
             run_consensus(model, design.h, uniform_vector(4, 12), 10, 1e-9)
+
+    @pytest.mark.parametrize("h", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_design_recorded_as_failure(self, h):
+        model = ring(8, 0.3)
+        design = dataclasses.replace(design_pipeline(model), h=h)
+        report = verify_consensus(model, design, trials=2, seed=4)
+        assert [r.seed for r in report] == [4, 5]
+        assert not any(r.passed for r in report)
+        assert all(r.note == f"non-finite design: h={h}" for r in report)
+        assert all(math.isnan(r.empirical_factor) for r in report)
 
     def test_non_contracting_design_cli_exit_0(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))

@@ -12,10 +12,8 @@ from consensus_spectra import (
     DegenerateError,
     Kind,
     SpectrumSource,
-    circulant_row,
     circulant_spectrum,
     closed_values,
-    extremal_pair,
     factor_extremal_pair,
     full_spectrum,
     r_nearest_ring,
@@ -25,7 +23,9 @@ from consensus_spectra import (
     torus,
 )
 from consensus_spectra import spectral
+from consensus_spectra.topology import factor_row
 from conftest import A_GRID, grid_models
+from spectrum_scan import eigenvalue, extremal_pair
 
 
 def dft_by_hand(entries, j):
@@ -41,18 +41,21 @@ def conjugation_closed(values, tol=1e-9):
 
 class TestCirculantSpectrum:
     def test_ring4_asymmetric_first_eigenvalue(self):
-        row = circulant_row(ring(4, 0.5))
+        model = ring(4, 0.5)
+        row = factor_row(*model.factors[0], model.a)
         values = circulant_spectrum(row)
         assert values[1] == pytest.approx(1 + 0.5j, abs=1e-12)
         assert values[1] == pytest.approx(dft_by_hand(row, 1), abs=1e-12)
 
     def test_zero_row_sum_gives_zero_mode(self):
-        row = circulant_row(r_nearest_ring(10, 3, 0.7))
+        model = r_nearest_ring(10, 3, 0.7)
+        row = factor_row(*model.factors[0], model.a)
         values = circulant_spectrum(row)
         assert abs(values[0]) < 1e-12
 
     def test_ring5_symmetric_real(self):
-        values = circulant_spectrum(circulant_row(ring(5, 0.0)))
+        model = ring(5, 0.0)
+        values = circulant_spectrum(factor_row(*model.factors[0], model.a))
         expected = 1 - math.cos(2 * math.pi / 5)
         assert values[1] == pytest.approx(expected, abs=1e-12)
         assert abs(values[1].imag) < 1e-12
@@ -60,7 +63,7 @@ class TestCirculantSpectrum:
     def test_large_ring_matches_closed_form(self):
         # the oracle is O(n log n) and has no size cap
         model = ring(20000, 0.3)
-        values = circulant_spectrum(circulant_row(model))
+        values = circulant_spectrum(factor_row(*model.factors[0], model.a))
         assert np.max(np.abs(values - closed_values(model))) <= 1e-9
 
     @given(
@@ -98,7 +101,7 @@ class TestClosedValues:
     def test_matches_direct_summation(self):
         model = ring(4, 0.5)
         value = closed_values(model)[1]
-        oracle = dft_by_hand(circulant_row(model), 1)
+        oracle = dft_by_hand(factor_row(*model.factors[0], model.a), 1)
         assert value == pytest.approx(oracle, abs=1e-12)
         assert value == pytest.approx(1 + 0.5j, abs=1e-12)
 
@@ -109,7 +112,7 @@ class TestClosedValues:
     def test_rnearest_matches_oracle(self):
         model = r_nearest_ring(6, 2, 0.0)
         value = closed_values(model)[2]
-        oracle = dft_by_hand(circulant_row(model), 2)
+        oracle = dft_by_hand(factor_row(*model.factors[0], model.a), 2)
         assert value == pytest.approx(oracle, abs=1e-12)
         assert value == pytest.approx(3.0, abs=1e-12)
 
@@ -138,8 +141,8 @@ def oracle_by_sides(model):
     """The DFT oracle as per-side ring spectra (one row for a 1-D kind),
     summed over the index grid with dimension 1 slowest."""
     if model.kind is Kind.R_NEAREST_RING:
-        return circulant_spectrum(circulant_row(model))
-    sides = [circulant_spectrum(circulant_row(ring(k, model.a))) for k in model.shape]
+        return circulant_spectrum(factor_row(*model.factors[0], model.a))
+    sides = [circulant_spectrum(factor_row(k, 1, model.a)) for k in model.shape]
     return reduce(lambda acc, nxt: np.add.outer(acc, nxt).ravel(), sides)
 
 
@@ -191,12 +194,6 @@ class TestFullSpectrum:
         oracle = full_spectrum(ring(4, 0.5), source=SpectrumSource.DFT_ORACLE)
         assert np.allclose(closed.values, oracle.values, atol=1e-12)
 
-    def test_index_tuples(self):
-        spec = full_spectrum(torus((3, 4), 0.2))
-        assert spec.index_tuple(0) == (0, 0)
-        assert spec.index_tuple(4) == (1, 0)
-        assert spec.eigenvalue(5).index == (1, 1)
-
 
 class TestSpectrumInvariants:
     @pytest.mark.parametrize("a", [0.0, 0.4, 1.0])
@@ -247,48 +244,50 @@ class TestSpectrumInvariants:
 
 
 class TestExtremalPair:
+    """The selection rule of the pair every design reads."""
+
     def test_ring4_pair(self):
-        pair = extremal_pair(full_spectrum(ring(4, 0.5)))
+        pair = factor_extremal_pair(ring(4, 0.5))
         assert pair.lambda_s.value == pytest.approx(1 + 0.5j, abs=1e-12)
         assert pair.lambda_s.index == (1,)
         assert pair.lambda_l.value == pytest.approx(2.0, abs=1e-12)
         assert pair.lambda_l.index == (2,)
 
     def test_rnearest_pair(self):
-        pair = extremal_pair(full_spectrum(r_nearest_ring(6, 2, 0.0)))
+        pair = factor_extremal_pair(r_nearest_ring(6, 2, 0.0))
         assert pair.lambda_s.value == pytest.approx(2.0, abs=1e-12)
         assert pair.lambda_l.value == pytest.approx(3.0, abs=1e-12)
 
     def test_rnearest_real_part_tie_takes_constraining_member(self):
         # at n = 2r + 2 the slow index ties the half index in real part;
         # the complex member is the one that constrains the design
-        pair = extremal_pair(full_spectrum(r_nearest_ring(6, 2, 0.5)))
+        pair = factor_extremal_pair(r_nearest_ring(6, 2, 0.5))
         assert pair.lambda_s.index == (1,)
         assert pair.lambda_s.im == pytest.approx(0.5 * math.sqrt(3), abs=1e-12)
 
     def test_odd_torus_takes_half_indices(self):
-        pair = extremal_pair(full_spectrum(torus((5, 5), 0.3)))
+        pair = factor_extremal_pair(torus((5, 5), 0.3))
         assert pair.lambda_l.index == (2, 2)
-        pair2 = extremal_pair(full_spectrum(torus((3, 5), 0.3)))
+        pair2 = factor_extremal_pair(torus((3, 5), 0.3))
         assert pair2.lambda_l.index == (1, 2)
         # slow index sits on the larger dimension
         assert pair2.lambda_s.index == (0, 1)
 
     def test_conjugate_tie_prefers_smaller_index(self):
-        pair = extremal_pair(full_spectrum(ring(8, 0.6)))
+        pair = factor_extremal_pair(ring(8, 0.6))
         assert pair.lambda_s.index == (1,)
         assert pair.lambda_s.im > 0
 
     def test_triangle_ring_degenerate(self):
         with pytest.raises(DegenerateError):
-            extremal_pair(full_spectrum(ring(3, 0.0)))
+            factor_extremal_pair(ring(3, 0.0))
         with pytest.raises(DegenerateError):
-            extremal_pair(full_spectrum(ring(3, 0.7)))
+            factor_extremal_pair(ring(3, 0.7))
 
     def test_lambda_l_dominates_real_part(self):
         for a in A_GRID:
             for model in (ring(12, a), r_nearest_ring(15, 4, a), torus((4, 8), a)):
-                pair = extremal_pair(full_spectrum(model))
+                pair = factor_extremal_pair(model)
                 assert pair.lambda_l.re >= pair.lambda_s.re
                 assert abs(pair.lambda_s.value) > 0
 
@@ -362,7 +361,7 @@ class TestFactorExtremalPair:
         # the oracle's index-0 value of the 89-ring is not exactly 0; its
         # scan still skips flat position 0 and picks the closed-form pair
         for a in A_GRID:
-            assert circulant_spectrum(circulant_row(ring(89, a)))[0] != 0
+            assert circulant_spectrum(factor_row(89, 1, a))[0] != 0
             assert_pair_matches_the_scan(torus(dims, a), SpectrumSource.DFT_ORACLE)
 
 
@@ -388,7 +387,7 @@ def topologies(draw):
 
 class TestPickPerA:
     """A topology's candidates are selected once; each a picks among them
-    with extremal_pair's tie rule, and no pick outlives its a."""
+    with the scan's tie rule, and no pick outlives its a."""
 
     @given(topologies())
     @settings(max_examples=40, deadline=None)
@@ -441,13 +440,13 @@ def per_record_csv(spectrum):
     array-based serializer."""
     lines = ["index;re;im"]
     for pos in range(len(spectrum)):
-        ev = spectrum.eigenvalue(pos)
+        ev = eigenvalue(spectrum, pos)
         lines.append(f"{'|'.join(str(c) for c in ev.index)};{ev.re!r};{ev.im!r}")
     return "\n".join(lines) + "\n"
 
 
 def per_record_json(spectrum):
-    evs = (spectrum.eigenvalue(pos) for pos in range(len(spectrum)))
+    evs = (eigenvalue(spectrum, pos) for pos in range(len(spectrum)))
     records = [{"index": list(ev.index), "re": ev.re, "im": ev.im} for ev in evs]
     return json.dumps(records, indent=2) + "\n"
 

@@ -12,8 +12,6 @@ from consensus_spectra import (
     NetworkModel,
     ParameterError,
     SizeError,
-    TopologyError,
-    circulant_row,
     dense_laplacian,
     design_pipeline,
     format_model,
@@ -25,6 +23,7 @@ from consensus_spectra import (
     torus,
     validate,
 )
+from consensus_spectra.topology import factor_row
 
 
 class TestValidate:
@@ -247,24 +246,24 @@ class TestFactors:
 
 class TestCirculantRow:
     def test_ring_layout(self):
-        row = circulant_row(ring(4, 0.5))
+        model = ring(4, 0.5)
+        row = factor_row(*model.factors[0], model.a)
         assert row == pytest.approx([1.0, -0.25, 0.0, -0.75])
 
     def test_symmetric_ring(self):
-        row = circulant_row(ring(5, 0.0))
+        model = ring(5, 0.0)
+        row = factor_row(*model.factors[0], model.a)
         assert row == pytest.approx([1.0, -0.5, 0.0, 0.0, -0.5])
 
     def test_rnearest_layout(self):
-        row = circulant_row(r_nearest_ring(6, 2, 0.0))
+        model = r_nearest_ring(6, 2, 0.0)
+        row = factor_row(*model.factors[0], model.a)
         assert row == pytest.approx([2.0, -0.5, -0.5, 0.0, -0.5, -0.5])
-
-    def test_torus_rejected(self):
-        with pytest.raises(TopologyError):
-            circulant_row(torus((3, 3), 0.0))
 
     @pytest.mark.parametrize("n,r,a", [(8, 1, 0.3), (12, 3, 0.7), (10, 4, 1.0)])
     def test_zero_sum_and_degree(self, n, r, a):
-        row = circulant_row(r_nearest_ring(n, r, a))
+        model = r_nearest_ring(n, r, a)
+        row = factor_row(*model.factors[0], model.a)
         assert row.sum() == pytest.approx(0.0, abs=1e-14)
         assert row[0] == r
 
@@ -337,7 +336,7 @@ class TestDenseLaplacian:
     @pytest.mark.parametrize("model", [ring(4, 0.5), r_nearest_ring(9, 3, 0.4)])
     def test_one_dimensional_rows_are_cyclic_shifts(self, model):
         lap = dense_laplacian(model)
-        row = circulant_row(model)
+        row = factor_row(*model.factors[0], model.a)
         for i in range(model.n):
             assert np.allclose(lap[i], np.roll(row, i), atol=1e-15)
 
