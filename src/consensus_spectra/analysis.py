@@ -187,13 +187,15 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nan_to_null(value):
+    # json.dumps writes a NaN as the non-JSON token NaN; None is null
+    if isinstance(value, dict):
+        return {k: _nan_to_null(v) for k, v in value.items()}
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def rows_to_jsonl(rows: list[SweepRow]) -> str:
-    out = []
-    for row in rows:
-        d = row.as_dict()
-        clean = {k: (None if isinstance(v, float) and math.isnan(v) else v) for k, v in d.items()}
-        out.append(json.dumps(clean))
-    return "\n".join(out) + "\n"
+    return "\n".join(json.dumps(_nan_to_null(row.as_dict())) for row in rows) + "\n"
 
 
 def write_figure(dataset: FigureDataset, directory) -> Path:

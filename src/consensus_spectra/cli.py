@@ -63,7 +63,7 @@ def _cmd_design(args) -> int:
         reconciliation = None
     payload = design_mod.design_export_dict(model, result, reconciliation)
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit(json.dumps(analysis._nan_to_null(payload), indent=2) + "\n", args.out)
     else:
         keys = ("model", "h", "gamma", "rate", "method")
         lines = [";".join(keys), ";".join(str(payload[k]) for k in keys)]

@@ -15,17 +15,17 @@ gamma = |1 - h*lambda_s| and rate R = 1 - gamma.
 
 A catalog of closed-form expressions covers each topology/parity case
 (even/odd ring, even-even/odd-odd torus, all-even/all-odd m-torus,
-even/odd r-nearest ring).  The catalog entries are evaluated exactly as
-catalogued and then *reconciled* against the pipeline, never silently
-corrected: ``closed_form_R`` returns the raw value together with a tag
-recording whether it equals the pipeline rate, the pipeline rate minus
-one, or neither.  Known quirks of the catalog (literal 0.16
+even/odd r-nearest ring).  Its entries are evaluated as catalogued, in
+plain floats; at a pole an r-nearest entry reports nan (0/0 or a
+negative radicand) or an infinity signed like its numerator, never an
+error.  ``closed_form_R`` returns the raw value with a tag recording
+whether it equals the pipeline rate, the pipeline rate minus one, or
+neither; no entry is silently corrected.  Known quirks (literal 0.16
 coefficients in the odd-odd torus entry, the squared asymmetry
-coefficient in the r-nearest entries being read as a**2) are preserved
-as-is so that deviations stay visible.  The pipeline, the catalog's
-reconciliation and ``closed_design`` read the same pair: the closed
-form's candidates are selected once per topology, and a model's a only
-picks among them.
+coefficient in the r-nearest entries read as a**2) are kept so that
+deviations stay visible.  The pipeline, the catalog's reconciliation
+and ``closed_design`` read the same pair: the closed form's candidates
+are selected once per topology, and a model's a only picks among them.
 
 ``minimax_h`` is an independent oracle: it minimizes the worst modulus
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
@@ -205,6 +205,12 @@ def _h_torusN_odd(dims_slow_first: tuple[int, ...], a: float) -> float:
     return num / den
 
 
+def _divide(num: float, den: float) -> float:
+    if den == 0.0:
+        return math.nan if num == 0.0 else math.copysign(math.inf, num)
+    return num / den
+
+
 def _rnearest_terms(n: int, r: int):
     """Shared building blocks: the slow-index Dirichlet ratio S and the
     matching imaginary-part combination C."""
@@ -218,9 +224,7 @@ def _h_rnearest_even(n: int, r: int, a: float) -> float:
     cr = math.cos(math.pi * r)
     num = cr - S
     den = 0.25 * S * S - (r + 0.5) * (S - cr) - 0.25 * cr * cr + 0.25 * a * a * C * C
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.copysign(math.inf, num)
-    return num / den
+    return _divide(num, den)
 
 
 def _h_rnearest_odd(n: int, r: int, a: float) -> float:
@@ -236,9 +240,7 @@ def _h_rnearest_odd(n: int, r: int, a: float) -> float:
         + 0.25 * a * a * C * C
         - 0.25 * a * a * Cp * Cp
     )
-    if den == 0.0:
-        return math.nan if num == 0.0 else math.copysign(math.inf, num)
-    return num / den
+    return _divide(num, den)
 
 
 def _R_ring_even(n: int, a: float) -> float:
@@ -312,17 +314,14 @@ def _R_rnearest_even(n: int, r: int, a: float) -> float:
     p2 = (a * sp * crn - 0.5 * a * s2p) / (c2p - 1)
     q2 = S - cr
     r2 = sp * srn / (c2p - 1) + r + 0.5
-    s_2 = np.float64(
+    s_2 = (
         0.25 * a * a * (2 * sp * crn - s2p) ** 2 / (c2p - 1) ** 2
         + sp * sp * srn * srn / (c2p - 1) ** 2
         + (r + 0.5) * (cr - srn / sp)
         - 0.25 * cr * cr
     )
-    # s_2 vanishes at isolated parameter points; IEEE semantics keep the
-    # value reportable instead of raising
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = (p2 * q2 / s_2) ** 2 + r2 * q2 / s_2 + 1
-        return float(1 - np.sqrt(inner))
+    inner = _divide(p2 * q2, s_2) ** 2 + _divide(r2 * q2, s_2) + 1
+    return 1 - math.sqrt(inner) if inner >= 0 else math.nan
 
 
 def _R_rnearest_odd(n: int, r: int, a: float) -> float:
@@ -340,16 +339,15 @@ def _R_rnearest_odd(n: int, r: int, a: float) -> float:
     p3 = (-a * sp * crn + 0.5 * a * s2p) / (c2p - 1)
     q3 = -S + shn / chn
     r3 = -sp * srn / (c2p - 1) - r - 0.5
-    s_3 = np.float64(
+    s_3 = (
         -0.25 * a * a * (2 * chn * chn2 - sp) ** 2 / (cp + 1) ** 2
         + 0.25 * a * a * (2 * sp * crn - s2p) ** 2 / (c2p - 1) ** 2
         - chn * chn * shn * shn / (cp + 1) ** 2
         + sp * sp * srn * srn / (c2p - 1) ** 2
         + (r + 0.5) * (shn / chn - S)
     )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = (p3 * q3 / s_3) ** 2 + r3 * q3 / s_3 + 1
-        return float(1 - np.sqrt(inner))
+    inner = _divide(p3 * q3, s_3) ** 2 + _divide(r3 * q3, s_3) + 1
+    return 1 - math.sqrt(inner) if inner >= 0 else math.nan
 
 
 # case id -> (h entry, R entry, the entries' arguments).  The arguments

@@ -237,7 +237,8 @@ def run_consensus(
 
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value or turns NaN, which signals a non-contracting weight
-    matrix; the steps run with numpy's overflow warnings off.
+    matrix; the steps run with numpy's overflow warnings off.  An x0
+    whose deviation norm overflows raises ParameterError.
     """
     # a copy: the state is double-buffered in place and x0 is never written
     x = np.array(x0, dtype=float)
@@ -255,12 +256,7 @@ def run_consensus(
 
     apply_L = _dense_apply_L(model) if dense else _structured_apply_L(model)
 
-    # x.mean(), the same pairwise sum and division without the wrapper;
-    # the state's mean is taken once per step and read by both the
-    # averages and the next step
     n = model.order
-    mean = np.add.reduce(x) / n
-    target = mean
     nxt = np.empty_like(x)
 
     def error_norm(v, e) -> float:
@@ -269,14 +265,22 @@ def run_consensus(
         np.subtract(v, target, out=e)
         return math.sqrt(e.dot(e))
 
-    # nxt is written before it is read, and a step is spent once it has
-    # been subtracted, so each lends its memory to the error
-    errors = [error_norm(x, nxt)]
-    averages = [float(mean)]
-    limit = _DIVERGENCE_FACTOR * max(errors[0], 1e-300)
-    converged = errors[0] <= tolerance
-    steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        # x.mean(), the same pairwise sum and division without the wrapper;
+        # the state's mean is taken once per step and read by both the
+        # averages and the next step
+        mean = np.add.reduce(x) / n
+        target = mean
+        # nxt is written before it is read, and a step is spent once it has
+        # been subtracted, so each lends its memory to the error
+        errors = [error_norm(x, nxt)]
+        if not math.isfinite(errors[0]):
+            # no later norm could be finite, and no limit would stop the run
+            raise ParameterError(f"x0's deviation norm overflows ({errors[0]}); scale x0 down")
+        averages = [float(mean)]
+        limit = _DIVERGENCE_FACTOR * max(errors[0], 1e-300)
+        converged = errors[0] <= tolerance
+        steps = 0
         while not converged and steps < max_steps:
             step = apply_L(x, mean)
             np.multiply(step, h, out=step)

@@ -92,6 +92,59 @@ class TestDesignCommand:
         assert parse_model(printed) == parse_model("rnearest:n=12,r=3,a=0.25")
 
 
+def strict_json(text):
+    """Parse JSON, rejecting the NaN, Infinity and -Infinity tokens
+    that json.dumps writes by default but JSON does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "--model", "ring:n=4,a=0.5"),
+            # the r-nearest rate entry takes the square root of a negative number
+            ("design", "--model", "rnearest:n=38,r=18,a=0"),
+            ("design", "--model", "rnearest:n=11,r=4,a=0.4", "--method", "minimax"),
+            # the r-nearest h entry is 0/0
+            ("design", "--model", "rnearest:n=6,r=2,a=0", "--method", "closed"),
+            ("spectrum", "--model", "torus:dims=3x4,a=0.3", "--format", "json"),
+            ("simulate", "--model", "ring:n=8,a=0.3", "--steps", "30", "--format", "json"),
+            ("verify", "--model", "ring:n=16,a=0.3", "--trials", "2"),
+            (
+                "sweep", "--model", "rnearest:n=12,r=1,a=0", "--vary", "r=1,2,5",
+                "--method", "closed", "--format", "json",
+            ),
+            ("figure", "--id", "5", "--format", "json"),
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[2:3]),
+    )
+    def test_output_is_strict_json(self, capsys, argv):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        if argv[0] in ("sweep", "figure"):
+            for line in out.splitlines():
+                strict_json(line)
+        else:
+            strict_json(out)
+
+    def test_design_writes_null_for_nan(self, capsys):
+        _, out, _ = invoke(capsys, "design", "--model", "rnearest:n=38,r=18,a=0")
+        payload = strict_json(out)
+        assert payload["reconciliation"]["value"] is None
+        assert payload["reconciliation"]["tag"] == "Mismatch"
+        assert payload["h"] > 0
+
+        _, out, _ = invoke(capsys, "design", "--model", "rnearest:n=6,r=2,a=0", "--method", "closed")
+        payload = strict_json(out)
+        assert (payload["h"], payload["gamma"], payload["rate"]) == (None, None, None)
+        assert payload["reconciliation"]["value"] is None
+
+
 class TestSpectrumCommand:
     def test_csv_real_parts(self, capsys):
         code, out, _ = invoke(capsys, "spectrum", "--model", "ring:n=4,a=0", "--format", "csv")

@@ -49,6 +49,7 @@ from consensus_spectra.design import (
     _R_torus2_even,
     _R_torus2_odd,
     _R_torusN_even,
+    _divide,
     _reconcile,
     formula_case,
 )
@@ -422,6 +423,47 @@ class TestCatalogWiring:
         rec = closed_form_R(model)
         assert rec.case == case
         assert rec.value == R_expected()
+
+
+# model -> (repr of closed_form_R(model).value, repr of closed_form_h(model)),
+# pinned bit for bit; a nan comes from a negative radicand (R) or 0/0 (h)
+CATALOG_VALUES = {
+    "rnearest:n=14,r=3,a=0.37": ("0.22236742302966672", "0.39889435352356595"),
+    "rnearest:n=15,r=3,a=0.37": ("0.19901308048927302", "-0.21670582173585493"),
+    "rnearest:n=12,r=3,a=0.25": ("0.32856748110561695", "0.36455783270894937"),
+    "rnearest:n=40,r=5,a=0.9": ("-0.11055719914249118", "0.3383415189387479"),
+    "rnearest:n=41,r=2,a=0": ("0.02862454494509248", "-0.2521148833968343"),
+    "rnearest:n=7,r=1,a=1": ("-0.1111931735017504", "-0.5"),
+    "rnearest:n=129,r=11,a=0.6": ("0.0012284568776728122", "-0.059280573710831834"),
+    "rnearest:n=38,r=18,a=0": ("nan", "0.05555555555555555"),
+    "rnearest:n=67,r=32,a=0.05": ("nan", "-0.02976993473899417"),
+    "rnearest:n=11,r=4,a=0.4": ("nan", "-0.1657249526824989"),
+    "rnearest:n=6,r=2,a=0": ("nan", "nan"),
+}
+
+
+class TestCatalogValues:
+    # pytest turns warnings into errors, so a numpy warning left on any
+    # of these paths fails the test
+
+    @pytest.mark.parametrize("spec", CATALOG_VALUES)
+    def test_rnearest_entries_bit_for_bit(self, spec):
+        model = parse_model(spec)
+        assert (repr(closed_form_R(model).value), repr(closed_form_h(model))) == CATALOG_VALUES[spec]
+
+    def test_h_entry_at_zero_over_zero_is_nan(self):
+        assert math.isnan(_h_rnearest_even(6, 2, 0.0))
+
+    @pytest.mark.parametrize("num", [3.0, -3.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_divisor_gives_an_infinity_signed_like_the_numerator(self, num, zero):
+        assert _divide(num, zero) == math.copysign(math.inf, num)
+
+    def test_zero_over_zero_is_nan(self):
+        assert math.isnan(_divide(0.0, 0.0)) and math.isnan(_divide(-0.0, 0.0))
+
+    def test_nonzero_divisor_divides(self):
+        assert _divide(1.0, 3.0) == 1.0 / 3.0 and _divide(-2.0, -0.5) == 4.0
 
 
 class TestMinimax:

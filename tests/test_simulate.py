@@ -393,6 +393,14 @@ class TestRunConsensus:
         with pytest.raises(ParameterError, match="finite"):
             run_consensus(ring(8, 0.3), 0.5, x0, 10, 1e-9, dense=dense)
 
+    @pytest.mark.parametrize("x0", [[1e200] + [0.0] * 7, [1.7e308] * 8], ids=["norm", "mean"])
+    @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+    def test_overflowing_deviation_norm_rejected(self, x0, dense):
+        # finite entries whose deviation norm (or mean) overflows would run
+        # to a trace of infinite norms that no divergence limit stops
+        with pytest.raises(ParameterError, match="overflows"):
+            run_consensus(ring(8, 0.3), 0.5, x0, 5, 1e-9, dense=dense)
+
     @pytest.mark.parametrize("field", ["h", "tolerance"])
     @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
     def test_non_finite_h_or_tolerance_rejected(self, field, dense):
