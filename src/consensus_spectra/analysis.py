@@ -21,7 +21,6 @@ Each figure's grid is fixed here and recorded in the dataset metadata:
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -29,7 +28,7 @@ from pathlib import Path
 
 from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .topology import NetworkModel, _normalised, r_nearest_ring, ring, torus
+from .topology import NetworkModel, _normalised, r_nearest_ring, ring, to_csv, to_json, torus
 
 
 @dataclass(frozen=True)
@@ -171,31 +170,13 @@ def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
 _COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
-
-
 def rows_to_csv(rows: list[SweepRow]) -> str:
-    lines = [";".join(_COLUMNS)]
-    for row in rows:
-        d = row.as_dict()
-        lines.append(";".join(_cell(d[c]) for c in _COLUMNS))
-    return "\n".join(lines) + "\n"
-
-
-def _nan_to_null(value):
-    # json.dumps writes a NaN as the non-JSON token NaN; None is null
-    if isinstance(value, dict):
-        return {k: _nan_to_null(v) for k, v in value.items()}
-    return None if isinstance(value, float) and math.isnan(value) else value
+    dicts = [row.as_dict() for row in rows]
+    return to_csv(_COLUMNS, [[d[c] for d in dicts] for c in _COLUMNS])
 
 
 def rows_to_jsonl(rows: list[SweepRow]) -> str:
-    return "\n".join(json.dumps(_nan_to_null(row.as_dict())) for row in rows) + "\n"
+    return to_json([row.as_dict() for row in rows], lines=True)
 
 
 def write_figure(dataset: FigureDataset, directory) -> Path:

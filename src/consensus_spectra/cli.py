@@ -7,13 +7,13 @@ are given with the grammar ``ring:n=<int>,a=<float>``,
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on
 computation errors (degenerate extremal pair, unsupported parity,
-divergence).  Errors print one machine-parsable line on stderr.
+divergence).  Errors print one machine-parsable line on stderr.  Each
+subcommand offers the formats of its writers in ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from .errors import (
     ParameterError,
     UnsupportedParityError,
 )
+from .topology import to_csv, to_json
 
 _SOURCES = {
     "closed": spectral.SpectrumSource.CLOSED_FORM,
@@ -39,67 +40,45 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _emit_rows(rows, args) -> None:
-    to_text = analysis.rows_to_csv if args.format == "csv" else analysis.rows_to_jsonl
-    _emit(to_text(rows), args.out)
-
-
-def _cmd_spectrum(args) -> int:
+def _spectrum(args):
     model = topology.parse_model(args.model)
-    spectrum = spectral.full_spectrum(model, source=_SOURCES[args.source])
-    if args.format == "csv":
-        _emit(spectral.spectrum_to_csv(spectrum), args.out)
-    else:
-        _emit(spectral.spectrum_to_json(spectrum), args.out)
-    return 0
+    return spectral.full_spectrum(model, source=_SOURCES[args.source])
 
 
-def _cmd_design(args) -> int:
+def _design(args) -> dict:
     model = topology.parse_model(args.model)
     result = design_mod.DESIGN_METHODS[args.method](model)
     try:
         reconciliation = design_mod.closed_form_R(model)
     except (UnsupportedParityError, DegenerateError):
         reconciliation = None
-    payload = design_mod.design_export_dict(model, result, reconciliation)
-    if args.format == "json":
-        _emit(json.dumps(analysis._nan_to_null(payload), indent=2) + "\n", args.out)
-    else:
-        keys = ("model", "h", "gamma", "rate", "method")
-        lines = [";".join(keys), ";".join(str(payload[k]) for k in keys)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return design_mod.design_export_dict(model, result, reconciliation)
 
 
-def _cmd_simulate(args) -> int:
+def _simulate(args) -> tuple:
+    """The trace of the run and its JSON summary."""
     model = topology.parse_model(args.model)
     h = args.h
     if h is None:
         h = design_mod.design_pipeline(model).h
     x0 = simulate_mod.uniform_vector(args.seed, model.order)
     trace = simulate_mod.run_consensus(model, h, x0, max_steps=args.steps, tolerance=args.tolerance)
-    if args.format == "csv":
-        _emit(simulate_mod.trace_to_csv(trace), args.out)
-    else:
-        payload = {
-            "model": topology.format_model(model),
-            "h": h,
-            "steps": trace.steps,
-            "converged": trace.converged,
-            "empirical_factor": trace.empirical_factor,
-            "final_error": float(trace.error_norms[-1]),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    summary = {
+        "model": topology.format_model(model),
+        "h": h,
+        "steps": trace.steps,
+        "converged": trace.converged,
+        "empirical_factor": trace.empirical_factor,
+        "final_error": float(trace.error_norms[-1]),
+    }
+    return trace, summary
 
 
-def _cmd_verify(args) -> int:
+def _verify(args):
     model = topology.parse_model(args.model)
     plan = design_mod.design_pipeline(model)
-    results = simulate_mod.verify_consensus(model, plan, trials=args.trials, seed=args.seed)
     # failed trials are report entries, not computation errors
-    _emit(simulate_mod.report_to_json(results), args.out)
-    return 0
+    return simulate_mod.verify_consensus(model, plan, trials=args.trials, seed=args.seed)
 
 
 def _parse_vary(specs: list[str]) -> dict:
@@ -144,21 +123,43 @@ def _parse_vary(specs: list[str]) -> dict:
     return varying
 
 
-def _cmd_sweep(args) -> int:
+def _sweep(args):
     template = topology.parse_model(args.model)
     varying = _parse_vary(args.vary or [])
-    _emit_rows(analysis.sweep(template, varying, method=args.method), args)
-    return 0
+    return analysis.sweep(template, varying, method=args.method)
 
 
-def _cmd_figure(args) -> int:
+def _figure(args):
+    """The figure's rows, or None when ``--out`` is a directory: it then
+    takes the dataset's CSV file, and stdout the file's path."""
+    to_dir = bool(args.out) and Path(args.out).is_dir()
+    if to_dir and args.format != "csv":
+        raise ParameterError(f"figure --out {args.out!r} is a directory, which takes CSV only")
     dataset = analysis.figure_dataset(args.id, method=args.method)
-    if args.out and Path(args.out).is_dir():
-        path = analysis.write_figure(dataset, args.out)
-        sys.stdout.write(f"{path}\n")
-        return 0
-    _emit_rows(dataset.rows, args)
-    return 0
+    if not to_dir:
+        return dataset.rows
+    sys.stdout.write(f"{analysis.write_figure(dataset, args.out)}\n")
+    return None
+
+
+def _design_csv(payload: dict) -> str:
+    keys = ("model", "h", "gamma", "rate", "method")
+    return to_csv(keys, [[payload[k]] for k in keys])
+
+
+# subcommand -> (the result of its arguments, format -> text of the result);
+# the first format is the default and the only ones --format accepts
+_COMMANDS = {
+    "spectrum": (_spectrum, {"csv": spectral.spectrum_to_csv, "json": spectral.spectrum_to_json}),
+    "design": (_design, {"json": to_json, "csv": _design_csv}),
+    "simulate": (
+        _simulate,
+        {"csv": lambda run: simulate_mod.trace_to_csv(run[0]), "json": lambda run: to_json(run[1])},
+    ),
+    "verify": (_verify, {"json": simulate_mod.report_to_json}),
+    "sweep": (_sweep, {"csv": analysis.rows_to_csv, "json": analysis.rows_to_jsonl}),
+    "figure": (_figure, {"csv": analysis.rows_to_csv, "json": analysis.rows_to_jsonl}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,47 +171,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     methods = tuple(design_mod.DESIGN_METHODS)
 
-    def common(p, model_required=True):
+    def command(name, help, model_required=True):
+        p = sub.add_parser(name, help=help)
         if model_required:
             p.add_argument("--model", required=True, help="model spec, e.g. ring:n=8,a=0.3")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        formats = tuple(_COMMANDS[name][1])
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("spectrum", help="emit the full Laplacian spectrum")
-    common(p)
+    p = command("spectrum", "emit the full Laplacian spectrum")
     p.add_argument("--source", choices=sorted(_SOURCES), default="closed")
-    p.set_defaults(func=_cmd_spectrum, default_format="csv")
 
-    p = sub.add_parser("design", help="best-constant h, gamma and rate")
-    common(p)
+    p = command("design", "best-constant h, gamma and rate")
     p.add_argument("--method", choices=methods, default="pipeline")
-    p.set_defaults(func=_cmd_design, default_format="json")
 
-    p = sub.add_parser("simulate", help="run the consensus iteration")
-    common(p)
+    p = command("simulate", "run the consensus iteration")
     p.add_argument("--h", type=float, default=None, help="consensus parameter (default: pipeline)")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_simulate, default_format="csv")
 
-    p = sub.add_parser("verify", help="seeded random-trial verification report")
-    common(p)
+    p = command("verify", "seeded random-trial verification report")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_verify, default_format="json")
 
-    p = sub.add_parser("sweep", help="evaluate a parameter grid")
-    common(p)
+    p = command("sweep", "evaluate a parameter grid")
     p.add_argument("--vary", action="append", help="n=4,8,16 or a=0:1:0.1 (repeatable)")
     p.add_argument("--method", choices=methods, default="pipeline")
-    p.set_defaults(func=_cmd_sweep, default_format="csv")
 
-    p = sub.add_parser("figure", help="regenerate a standard figure dataset")
-    common(p, model_required=False)
+    p = command("figure", "regenerate a standard figure dataset", model_required=False)
     p.add_argument("--id", type=int, required=True, choices=(3, 4, 5, 6, 7))
     p.add_argument("--method", choices=methods, default="pipeline")
-    p.set_defaults(func=_cmd_figure, default_format="csv")
 
     return parser
 
@@ -222,13 +214,15 @@ def run(argv=None) -> int:
         # argparse exits 2 on a usage error, which is the validation class
         # here; --help exits 0
         return 1 if exc.code else 0
-    if args.format is None:
-        args.format = args.default_format
+    produce, writers = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        result = produce(args)
+        if result is not None:
+            _emit(writers[args.format](result), args.out)
     except ConsensusSpectraError as exc:
         sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
         return 1 if isinstance(exc, ParameterError) else 2
+    return 0
 
 
 def main() -> None:

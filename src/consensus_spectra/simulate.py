@@ -35,7 +35,6 @@ platforms and processes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, InsufficientDataError, ParameterError
-from .topology import Kind, NetworkModel, _is_int, dense_laplacian
+from .topology import Kind, NetworkModel, _is_int, dense_laplacian, link_weights, to_csv, to_json
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -113,9 +112,7 @@ def _structured_apply_L(model: NetworkModel):
     returns the same output array, so a caller keeps the result only
     until its next call.
     """
-    a = model.a
-    fw = (-1.0 + a) / 2.0
-    bw = (-1.0 - a) / 2.0
+    fw, bw = link_weights(model.a)
     n = model.order
     out = np.empty(n)
     if model.kind is Kind.R_NEAREST_RING:
@@ -209,14 +206,6 @@ def _dense_apply_L(model: NetworkModel):
         return out
 
     return apply
-
-
-def _check_window(window: int) -> None:
-    # window = 0 would fail in numpy, a negative one would silently
-    # average over the wrong slice of ratios and a fractional one would
-    # fail in numpy's slicing
-    if not _is_int(window) or window < 1:
-        raise ParameterError(f"window must be an integer >= 1, got window={window!r}")
 
 
 def run_consensus(
@@ -326,7 +315,11 @@ def empirical_contraction(trace: SimulationTrace, window: int) -> float:
     individual ratios oscillate; over a long run the estimate settles
     on the largest contraction modulus of the iteration.
     """
-    _check_window(window)
+    # window = 0 would fail in numpy, a negative one would silently
+    # average over the wrong slice of ratios and a fractional one would
+    # fail in numpy's slicing
+    if not _is_int(window) or window < 1:
+        raise ParameterError(f"window must be an integer >= 1, got window={window!r}")
     usable = np.count_nonzero(trace.error_norms > 0.0)
     if usable < window + 1:
         raise InsufficientDataError(
@@ -409,36 +402,16 @@ def verify_consensus(
         except DivergenceError as exc:
             passed = False
             note = f"diverged: {exc}"
-        results.append(
-            TrialResult(
-                trial=trial,
-                seed=trial_seed,
-                empirical_factor=empirical,
-                gamma=gamma,
-                passed=passed,
-                note=note,
-            )
-        )
+        results.append(TrialResult(trial, trial_seed, empirical, gamma, passed, note))
     return results
 
 
 def trace_to_csv(trace: SimulationTrace) -> str:
-    lines = ["step;error_norm;average"]
-    for step, (err, avg) in enumerate(zip(trace.error_norms, trace.averages)):
-        lines.append(f"{step};{float(err)!r};{float(avg)!r}")
-    return "\n".join(lines) + "\n"
+    columns = (range(len(trace.error_norms)), trace.error_norms.tolist(), trace.averages.tolist())
+    return to_csv(("step", "error_norm", "average"), columns)
 
 
 def report_to_json(results: list[TrialResult]) -> str:
-    records = [
-        {
-            "trial": r.trial,
-            "seed": r.seed,
-            "empirical_factor": None if math.isnan(r.empirical_factor) else r.empirical_factor,
-            "gamma": r.gamma,
-            "pass": r.passed,
-            "note": r.note,
-        }
-        for r in results
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    # every field in order, passed written as "pass"
+    records = [{"pass" if k == "passed" else k: v for k, v in vars(r).items()} for r in results]
+    return to_json(records)

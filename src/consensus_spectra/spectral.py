@@ -27,15 +27,14 @@ No route validates its model: a ``NetworkModel`` is checked when built.
 from __future__ import annotations
 
 import enum
-import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DegenerateError
-from .topology import NetworkModel, factor_row
+from .errors import DegenerateError, ParameterError
+from .topology import NetworkModel, factor_row, to_csv, to_json
 
 
 class SpectrumSource(enum.Enum):
@@ -121,12 +120,15 @@ def _factors(model: NetworkModel, source: SpectrumSource) -> list[np.ndarray]:
     route; ``_compose_cartesian`` of them is its full spectrum.
 
     DFT_ORACLE transforms each factor's circulant row, which stays
-    independent of the trigonometric simplification.
+    independent of the trigonometric simplification.  Any other source
+    raises ParameterError.
     """
     if source is SpectrumSource.CLOSED_FORM:
         # real part + (1j * a) * sine sum
         return [re + 1j * model.a * s for re, s in _closed_parts(model.factors)]
-    return [circulant_spectrum(factor_row(n, r, model.a)) for n, r in model.factors]
+    if source is SpectrumSource.DFT_ORACLE:
+        return [circulant_spectrum(factor_row(n, r, model.a)) for n, r in model.factors]
+    raise ParameterError(f"unknown spectrum source {source!r}; expected a SpectrumSource")
 
 
 def closed_values(model: NetworkModel) -> np.ndarray:
@@ -245,21 +247,20 @@ def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
 # --- export -------------------------------------------------------------------
 
 
-def _rows(spectrum: Spectrum):
-    """(index components, real part, imaginary part) of every flat
-    position, as Python ints and floats."""
+def _columns(spectrum: Spectrum) -> tuple[list, list, list]:
+    """Per-dimension index components, real and imaginary parts, as lists."""
     shape = spectrum.model.shape
-    index = np.indices(shape).reshape(len(shape), -1).T.tolist()
-    return zip(index, spectrum.values.real.tolist(), spectrum.values.imag.tolist())
+    index = np.indices(shape).reshape(len(shape), -1).tolist()
+    return index, spectrum.values.real.tolist(), spectrum.values.imag.tolist()
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:
     """Semicolon CSV with columns index;re;im (multi-indices joined by |)."""
-    lines = ["index;re;im"]
-    lines += [f"{'|'.join(map(str, i))};{re!r};{im!r}" for i, re, im in _rows(spectrum)]
-    return "\n".join(lines) + "\n"
+    index, re, im = _columns(spectrum)
+    joined = list(map("|".join, zip(*[list(map(str, k)) for k in index])))
+    return to_csv(("index", "re", "im"), (joined, re, im))
 
 
 def spectrum_to_json(spectrum: Spectrum) -> str:
-    records = [{"index": i, "re": re, "im": im} for i, re, im in _rows(spectrum)]
-    return json.dumps(records, indent=2) + "\n"
+    index, re, im = _columns(spectrum)
+    return to_json([{"index": i, "re": r, "im": m} for i, r, m in zip(zip(*index), re, im)])

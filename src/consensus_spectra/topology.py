@@ -22,6 +22,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import json
 import math
 import numbers
 import re as _re
@@ -175,6 +176,12 @@ def validate(model: NetworkModel) -> NetworkModel:
     return model
 
 
+def link_weights(a: float) -> tuple[float, float]:
+    """The Laplacian entries (forward, backward) of one link: the negated
+    weights (1 - a) / 2 and (1 + a) / 2."""
+    return (-1.0 + a) / 2.0, (-1.0 - a) / 2.0
+
+
 def factor_row(side: int, radius: int, a: float) -> np.ndarray:
     """First Laplacian row of one circulant factor; its cyclic shifts are
     the factor's matrix and its entries sum to zero.
@@ -185,8 +192,7 @@ def factor_row(side: int, radius: int, a: float) -> np.ndarray:
     """
     row = np.zeros(side)
     row[0] = float(radius)
-    row[1 : radius + 1] = (-1.0 + a) / 2.0
-    row[side - radius : side] = (-1.0 - a) / 2.0
+    row[1 : radius + 1], row[side - radius : side] = link_weights(a)
     return row
 
 
@@ -303,3 +309,47 @@ def format_model(model: NetworkModel) -> str:
         return f"rnearest:n={model.n},r={model.r},a={a}"
     dims = "x".join(str(k) for k in model.dims)
     return f"torus:dims={dims},a={a}"
+
+
+# --- text output -------------------------------------------------------------
+# Every CSV and JSON text the package writes comes from to_csv or to_json.
+# A CSV cell is empty for None, the repr of a float and str() of anything else.
+
+
+def _cell(v) -> str:
+    return "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
+
+
+def _cells(column):
+    # the rule of _cell, tested once per column where the types allow:
+    # float.__repr__(v) is repr(float(v)) for a float
+    types = set(map(type, column))
+    if types <= {float}:
+        return map(float.__repr__, column)
+    if types <= {int, str}:
+        return map(str, column)
+    return map(_cell, column)
+
+
+def to_csv(header, columns) -> str:
+    """Semicolon CSV of equal-length ``columns`` under ``header``, a line per row."""
+    lines = [";".join(header), *map(";".join, zip(*map(_cells, columns)))]
+    return "\n".join(lines) + "\n"
+
+
+def _finite_or_null(value):
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def to_json(value, lines: bool = False) -> str:
+    """``value`` as an indent-2 JSON document and a newline, or with
+    ``lines`` each of its items as one compact line.  Every non-finite
+    float inside dicts, lists and tuples is written as null, as JSON has
+    no token for it; one that this misses raises ValueError."""
+    if lines:
+        return "\n".join(json.dumps(_finite_or_null(v), allow_nan=False) for v in value) + "\n"
+    return json.dumps(_finite_or_null(value), indent=2, allow_nan=False) + "\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -186,6 +187,18 @@ class TestSerialization:
         assert records[0]["dims"] == "4x4"
         assert records[0]["rate"] == pytest.approx(0.4)
         assert records[1]["a"] == 0.5
+
+    def test_infinities_serialized_as_null(self):
+        (row,) = sweep(ring(8, 0.3), {"n": [8]})
+        row = dataclasses.replace(row, h=math.inf, gamma=-math.inf)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        record = json.loads(rows_to_jsonl([row]), parse_constant=reject)
+        assert (record["h"], record["gamma"]) == (None, None)
+        assert record["rate"] == row.rate
+        assert rows_to_csv([row]).splitlines()[1].split(";")[5:7] == ["inf", "-inf"]
 
     def test_nan_serialized_as_null(self):
         rows = sweep(ring(3, 0.0), {"n": [3]})

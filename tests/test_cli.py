@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consensus_spectra import closed_values, parse_model
-from consensus_spectra.cli import run
+from consensus_spectra import closed_design, closed_values, design as design_mod, parse_model
+from consensus_spectra.cli import build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -86,6 +88,14 @@ class TestDesignCommand:
         assert (code, out) == (0, "")
         assert path.read_bytes() == printed.encode()
 
+    def test_csv_bytes(self, capsys):
+        # recorded before the CSV moved to topology.to_csv
+        _, out, _ = invoke(capsys, "design", "--model", "ring:n=4,a=0.5", "--format", "csv")
+        assert out == (
+            "model;h;gamma;rate;method\n"
+            "ring:n=4,a=0.5;0.7272727272727272;0.45454545454545464;0.5454545454545454;PairSolve\n"
+        )
+
     def test_model_string_round_trips(self, capsys):
         code, out, _ = invoke(capsys, "design", "--model", "rnearest:n=12,r=3,a=0.25")
         printed = json.loads(out)["model"]
@@ -143,6 +153,61 @@ class TestStrictJson:
         payload = strict_json(out)
         assert (payload["h"], payload["gamma"], payload["rate"]) == (None, None, None)
         assert payload["reconciliation"]["value"] is None
+
+
+    def test_design_writes_null_for_infinities(self, capsys, monkeypatch):
+        # the slow-mode design at h = inf, as a catalog entry with a zero
+        # divisor and a positive numerator would give it
+        def infinite(model):
+            design = closed_design(model)
+            return dataclasses.replace(design, h=math.inf, gamma=math.inf, rate=-math.inf)
+
+        monkeypatch.setitem(design_mod.DESIGN_METHODS, "closed", infinite)
+        code, out, _ = invoke(capsys, "design", "--model", "ring:n=8,a=0.3", "--method", "closed")
+        assert code == 0
+        payload = strict_json(out)
+        assert (payload["h"], payload["gamma"], payload["rate"]) == (None, None, None)
+        assert payload["lambda_s"]["index"] == [1]
+
+
+class TestFormats:
+    @pytest.mark.parametrize(
+        "command, formats",
+        [
+            ("spectrum", ["csv", "json"]),
+            ("design", ["json", "csv"]),
+            ("simulate", ["csv", "json"]),
+            ("verify", ["json"]),
+            ("sweep", ["csv", "json"]),
+            ("figure", ["csv", "json"]),
+        ],
+    )
+    def test_choices_and_default(self, capsys, command, formats):
+        _, out, _ = invoke(capsys, command, "--help")
+        assert f"--format {{{','.join(formats)}}}" in out
+        required = ["--id", "3"] if command == "figure" else ["--model", "ring:n=4,a=0"]
+        assert build_parser().parse_args([command, *required]).format == formats[0]
+
+    def test_verify_rejects_csv(self, capsys):
+        # verify writes JSON only; csv used to be accepted and ignored
+        code, out, err = invoke(capsys, "verify", "--model", "ring:n=16,a=0.3", "--format", "csv")
+        assert (code, out) == (1, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--format: invalid choice: 'csv'" in errors[0], err
+
+    def test_figure_directory_rejects_json(self, capsys, tmp_path):
+        # a directory takes the dataset's CSV file; json used to be ignored
+        code, out, err = invoke(capsys, "figure", "--id", "7", "--out", str(tmp_path), "--format", "json")
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error type=ParameterError"), err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_figure_json_to_a_file(self, capsys, tmp_path):
+        path = tmp_path / "fig7.jsonl"
+        code, out, _ = invoke(capsys, "figure", "--id", "7", "--out", str(path), "--format", "json")
+        assert (code, out) == (0, "")
+        assert [strict_json(line)["kind"] for line in path.read_text().splitlines()] == ["ring"] * 62
 
 
 class TestSpectrumCommand:

@@ -22,6 +22,8 @@ from consensus_spectra import (
     format_model,
     r_nearest_ring,
     ring,
+    closed_design,
+    report_to_json,
     run_consensus,
     splitmix64,
     torus,
@@ -611,3 +613,58 @@ class TestTraceExport:
         step, err, avg = lines[1].split(";")
         assert (int(step), float(avg)) == (0, 2.5)
         assert float(err) == pytest.approx(np.linalg.norm([-1.5, -0.5, 0.5, 1.5]))
+
+    def test_csv_bytes(self):
+        # recorded before the export moved to topology.to_csv
+        model = ring(4, 0.5)
+        trace = run_consensus(model, design_pipeline(model).h, uniform_vector(7, 4), 4, 1e-9)
+        assert trace_to_csv(trace) == (
+            "step;error_norm;average\n"
+            "0;0.6403979741570374;0.4725772541385973\n"
+            "1;0.2910899882531988;0.4725772541385973\n"
+            "2;0.13231363102418126;0.47257725413859725\n"
+            "3;0.06014255955644601;0.47257725413859725\n"
+            "4;0.02733752707111182;0.4725772541385972\n"
+        )
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestReportExport:
+    def test_json_bytes(self):
+        # recorded before the export moved to topology.to_json
+        model = ring(8, 0.3)
+        report = verify_consensus(model, design_pipeline(model), 1, 0)
+        assert report_to_json(report) == (
+            "[\n  {\n"
+            '    "trial": 0,\n'
+            '    "seed": 0,\n'
+            '    "empirical_factor": 0.764810842432851,\n'
+            '    "gamma": 0.764810087287642,\n'
+            '    "pass": true,\n'
+            '    "note": ""\n'
+            "  }\n]\n"
+        )
+
+    def test_nan_design_writes_null(self):
+        # the r-nearest h entry is 0/0 at n=6, r=2, a=0
+        model = r_nearest_ring(6, 2, 0.0)
+        design = closed_design(model)
+        assert math.isnan(design.h) and math.isnan(design.gamma)
+        (record,) = strict_json(report_to_json(verify_consensus(model, design, 1, 0)))
+        assert (record["gamma"], record["empirical_factor"], record["pass"]) == (None, None, False)
+        assert record["note"] == "non-finite design: h=nan"
+
+    def test_inf_design_writes_null(self):
+        # the slow-mode design at h = inf: gamma = |1 - inf * lambda_s|
+        model = r_nearest_ring(6, 2, 0.0)
+        design = dataclasses.replace(closed_design(model), h=math.inf, gamma=math.inf, rate=-math.inf)
+        (record,) = strict_json(report_to_json(verify_consensus(model, design, 1, 0)))
+        assert (record["gamma"], record["empirical_factor"], record["pass"]) == (None, None, False)
+        assert record["note"] == "non-finite design: h=inf"
+

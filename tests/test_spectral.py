@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from consensus_spectra import (
     DegenerateError,
     Kind,
+    ParameterError,
     SpectrumSource,
     circulant_spectrum,
     closed_values,
@@ -415,6 +416,20 @@ class TestPickPerA:
         assert picks == {0.0: (1,), 1e-12: (1,), 1e-10: (1,), 1.0: (2,)}
 
 
+class TestSources:
+    @pytest.mark.parametrize("source", list(SpectrumSource))
+    def test_each_member_labels_its_route(self, source):
+        spectrum = full_spectrum(ring(6, 0.3), source)
+        assert spectrum.source is source
+        assert np.max(np.abs(spectrum.values - closed_values(ring(6, 0.3)))) <= 1e-12
+
+    @pytest.mark.parametrize("source", ["closed", "ClosedForm", None])
+    def test_any_other_value_raises(self, source):
+        # a string used to reach the oracle and come back labelled with it
+        with pytest.raises(ParameterError, match="spectrum source"):
+            full_spectrum(ring(6, 0.3), source)
+
+
 class TestExports:
     def test_csv_shape(self):
         text = spectrum_to_csv(full_spectrum(ring(4, 0.0)))
@@ -433,6 +448,34 @@ class TestExports:
         assert len(records) == 9
         assert records[0] == {"index": [0, 0], "re": 0.0, "im": 0.0}
         assert set(records[4]) == {"index", "re", "im"}
+
+    def test_csv_bytes(self):
+        # recorded before the exports moved to topology.to_csv
+        assert spectrum_to_csv(full_spectrum(torus((3, 3), 0.3))) == (
+            "index;re;im\n"
+            "0|0;0.0;0.0\n"
+            "0|1;1.4999999999999998;0.2598076211353316\n"
+            "0|2;1.5000000000000004;-0.2598076211353315\n"
+            "1|0;1.4999999999999998;0.2598076211353316\n"
+            "1|1;2.9999999999999996;0.5196152422706632\n"
+            "1|2;3.0;1.1102230246251565e-16\n"
+            "2|0;1.5000000000000004;-0.2598076211353315\n"
+            "2|1;3.0;1.1102230246251565e-16\n"
+            "2|2;3.000000000000001;-0.519615242270663\n"
+        )
+
+    def test_json_bytes(self):
+        # recorded before the exports moved to topology.to_json
+        records = [
+            ("0", "0.0", "0.0"),
+            ("1", "1.4999999999999998", "0.2598076211353316"),
+            ("2", "1.5000000000000004", "-0.2598076211353315"),
+        ]
+        expected = ",\n".join(
+            f'  {{\n    "index": [\n      {i}\n    ],\n    "re": {re},\n    "im": {im}\n  }}'
+            for i, re, im in records
+        )
+        assert spectrum_to_json(full_spectrum(ring(3, 0.3))) == f"[\n{expected}\n]\n"
 
 
 def per_record_csv(spectrum):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from consensus_spectra import (
     torus,
     validate,
 )
-from consensus_spectra.topology import factor_row
+from consensus_spectra.topology import factor_row, link_weights, to_csv, to_json
 
 
 class TestValidate:
@@ -440,3 +441,56 @@ class TestModelGrammar:
     def test_ring_round_trip_any_params(self, n, a):
         model = ring(n, a)
         assert parse_model(format_model(model)) == model
+
+
+class TestLinkWeights:
+    @pytest.mark.parametrize("a", [0.0, 0.3, 1.0, 1 / 3])
+    def test_factor_row_holds_them(self, a):
+        forward, backward = link_weights(a)
+        row = factor_row(7, 2, a)
+        assert (row[1], row[2], row[5], row[6]) == (forward, forward, backward, backward)
+        assert (forward, backward) == ((-1.0 + a) / 2.0, (-1.0 - a) / 2.0)
+
+
+def strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestTextWriters:
+    def test_csv_cell_rule(self):
+        text = to_csv(
+            ("none", "float", "np", "int", "str", "bool"),
+            [[None, 1.0], [0.1, math.nan], [np.float64(1 / 3), -math.inf], [3, 4], ["x", "y"], [True, 0]],
+        )
+        assert text == (
+            "none;float;np;int;str;bool\n"
+            ";0.1;0.3333333333333333;3;x;True\n"
+            "1.0;nan;-inf;4;y;0\n"
+        )
+
+    def test_csv_column_of_floats_is_repr(self):
+        column = [0.1 + 0.2, -0.0, 1e-300, 2.5e17, math.inf]
+        assert to_csv(("x",), [column]) == "x\n" + "".join(f"{v!r}\n" for v in column)
+
+    def test_csv_without_rows_is_the_header(self):
+        assert to_csv(("a", "b"), [[], []]) == "a;b\n"
+
+    def test_json_document_and_lines(self):
+        value = [{"x": 1, "y": [0.5, "s"]}, {"x": None, "y": (True,)}]
+        assert to_json(value) == json.dumps(value, indent=2) + "\n"
+        assert to_json(value, lines=True) == '{"x": 1, "y": [0.5, "s"]}\n{"x": null, "y": [true]}\n'
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("inf")])
+    def test_json_non_finite_is_null_at_any_depth(self, bad):
+        value = {"top": bad, "list": [1.0, bad], "nested": {"tuple": (bad, 2)}}
+        for text in (to_json(value), to_json([value], lines=True)):
+            assert strict_json(text) == {"top": None, "list": [1.0, None], "nested": {"tuple": [None, 2]}}
+
+    def test_json_non_finite_the_walk_misses_raises(self):
+        # the walk replaces values, not keys; a NaN key has no JSON form
+        with pytest.raises(ValueError):
+            to_json({math.nan: 1})
+
