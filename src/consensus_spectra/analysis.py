@@ -28,7 +28,8 @@ from pathlib import Path
 
 from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .topology import NetworkModel, _normalised, r_nearest_ring, ring, to_csv, to_json, torus
+from .topology import FIELDS, NetworkModel, _normalised, format_dims, r_nearest_ring, ring, torus
+from .topology import to_csv, to_json
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["dims"] = "x".join(str(k) for k in self.dims) if self.dims else ""
+        d["dims"] = format_dims(self.dims) if self.dims else ""
         return d
 
 
@@ -90,7 +91,7 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
     validation or design is recorded in-row and the sweep continues.
     """
     keys = list(varying)
-    unknown = set(keys) - {"n", "r", "a", "dims"}
+    unknown = set(keys) - set(FIELDS)
     if unknown:
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
     points = [(template, dict(zip(keys, combo))) for combo in product(*(varying[k] for k in keys))]

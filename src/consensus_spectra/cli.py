@@ -1,13 +1,13 @@
 """Command-line frontend.
 
 Subcommands: spectrum, design, simulate, verify, sweep, figure.  Models
-are given with the grammar ``ring:n=<int>,a=<float>``,
-``rnearest:n=<int>,r=<int>,a=<float>``,
-``torus:dims=<int>x<int>[x<int>...],a=<float>``.
+and ``--vary`` values are written in ``topology.parse_model``'s grammar.
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on
 computation errors (degenerate extremal pair, unsupported parity,
-divergence).  Errors print one machine-parsable line on stderr.  Each
+divergence).  A usage error prints argparse's usage block and its
+``error:`` line on stderr; any other error, an ``--out`` that cannot be
+written included, prints one machine-parsable line there.  Each
 subcommand offers the formats of its writers in ``_COMMANDS``.
 """
 
@@ -18,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, design as design_mod, simulate as simulate_mod, spectral, topology
-from .errors import (
-    ConsensusSpectraError,
-    DegenerateError,
-    ParameterError,
-    UnsupportedParityError,
-)
+from .errors import ConsensusSpectraError, DegenerateError, ParameterError, UnsupportedParityError
 from .topology import to_csv, to_json
 
 _SOURCES = {
@@ -88,14 +83,10 @@ def _parse_vary(specs: list[str]) -> dict:
         if not eq:
             raise ParameterError(f"malformed --vary {spec!r}, expected key=values")
         key = key.strip()
-        if key == "a":
-            cast = float
-        elif key in ("n", "r"):
-            cast = int
-        elif key == "dims":
-            cast = lambda tok: tuple(int(p) for p in tok.split("x"))
-        else:
+        if key not in topology.FIELDS:
             raise ParameterError(f"cannot vary {key!r}; expected n, r, a or dims")
+        if key in varying:
+            raise ParameterError(f"repeated --vary field {key!r} in {spec!r}")
         try:
             if ":" in body and key != "dims":
                 parts = body.split(":")
@@ -109,12 +100,16 @@ def _parse_vary(specs: list[str]) -> dict:
                 v = start
                 while v <= stop + 1e-12:
                     value = round(v, 12)
-                    if cast is int and not value.is_integer():
-                        raise ParameterError(f"--vary {spec!r} gives non-integral {key}={value!r}")
-                    values.append(cast(value))
+                    # an integral point is written as an int, as n and r need
+                    token = str(int(value)) if value.is_integer() else repr(value)
+                    try:
+                        values.append(topology.parse_field(key, token))
+                    except ValueError:
+                        msg = f"--vary {spec!r} gives non-integral {key}={value!r}"
+                        raise ParameterError(msg) from None
                     v += step
             else:
-                values = [cast(tok) for tok in body.split(",") if tok]
+                values = [topology.parse_field(key, tok) for tok in body.split(",") if tok]
         except ValueError as exc:
             raise ParameterError(f"non-numeric value in --vary {spec!r}: {exc}") from None
         if not values:
@@ -219,7 +214,9 @@ def run(argv=None) -> int:
         result = produce(args)
         if result is not None:
             _emit(writers[args.format](result), args.out)
-    except ConsensusSpectraError as exc:
+    except (ConsensusSpectraError, OSError) as exc:
+        if isinstance(exc, OSError):  # the output, --out or stdout, cannot be written
+            exc = ParameterError(f"cannot write the output: {exc}")
         sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
         return 1 if isinstance(exc, ParameterError) else 2
     return 0

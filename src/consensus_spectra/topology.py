@@ -74,8 +74,8 @@ class NetworkModel:
     no invalid model exists and no other layer validates again.
 
     ``factors`` holds the (side, radius) of each circulant factor, one
-    per dimension: ((n, r),) for an r-nearest ring, (k, 1) per side for a
-    ring or a torus.  It is set once, when the model is built.
+    per side of ``shape``, with radius r, or 1 where the kind has no r.
+    It is set once, when the model is built.
     """
 
     kind: Kind
@@ -90,11 +90,8 @@ class NetworkModel:
         validate(self)
         # a plain attribute, not a field: equality, hashing and repr read
         # the fields alone
-        if self.kind is Kind.R_NEAREST_RING:
-            factors = ((self.n, self.r),)
-        else:
-            factors = tuple([(k, 1) for k in self.shape])
-        object.__setattr__(self, "factors", factors)
+        radius = self.r or 1
+        object.__setattr__(self, "factors", tuple([(k, radius) for k in self.shape]))
 
     @property
     def order(self) -> int:
@@ -108,10 +105,8 @@ class NetworkModel:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """Eigenvalue index space: (n,) for 1-D kinds, dims for tori."""
-        if self.kind is Kind.TORUS:
-            return self.dims
-        return (self.n,)
+        """Eigenvalue index space: the sides of a torus, else (n,)."""
+        return self.dims or (self.n,)
 
 
 def ring(n: int, a: float = 0.0) -> NetworkModel:
@@ -252,52 +247,59 @@ def dense_laplacian(model: NetworkModel) -> np.ndarray:
 # rnearest:n=<int>,r=<int>,a=<float>
 # torus:dims=<int>x<int>[x<int>...],a=<float>
 
-_DIMS_RE = _re.compile(r"^\d+(x\d+)+$")
+_DIMS_RE = _re.compile(r"^\s*\d+(x\d+)+\s*$")
+FIELDS = ("n", "r", "dims", "a")
+_NUMBERS = {"n": int, "r": int, "a": float}
+
+
+def parse_field(key: str, text: str):
+    """Model field ``key`` (one of ``FIELDS``) read from ``text``, blanks around it
+    allowed: bad dims raise ParameterError, a bad number int's or float's ValueError."""
+    if key != "dims":
+        return _NUMBERS[key](text)
+    if not _DIMS_RE.match(text):
+        raise ParameterError(f"malformed dims {text!r}, expected <int>x<int>[x<int>...]")
+    return tuple(map(int, text.split("x")))
 
 
 def parse_model(text: str) -> NetworkModel:
-    """Parse a model specification string into a model."""
+    """Parse a model specification string; a repeated field is rejected."""
     head, _, body = text.strip().partition(":")
     head = head.lower()
     fields = {}
     for part in body.split(","):
         if not part:
             continue
-        key, eq, value = part.partition("=")
+        key, eq, value = (s.strip() for s in part.partition("="))
         if not eq:
             raise ParameterError(f"malformed field {part!r} in model spec {text!r}")
-        fields[key.strip()] = value.strip()
-
-    def need(key):
+        if key in fields:
+            raise ParameterError(f"repeated field {key!r} in model spec {text!r}")
+        fields[key] = value
+    if head not in {k.value for k in Kind}:
+        raise ParameterError(f"unknown model kind {head!r}; expected ring, rnearest or torus")
+    kind = Kind(head)
+    # all fields are read first: a stray field is reported before a broken constraint
+    values = {}
+    for key in (*_SIZE_FIELDS[kind], "a"):
         if key not in fields:
             raise ParameterError(f"model spec {text!r} is missing {key}=")
-        return fields.pop(key)
-
-    # all fields are read first: a stray field is reported before a broken constraint
-    try:
-        if head == "ring":
-            kind, sizes = Kind.RING, {"n": int(need("n"))}
-        elif head == "rnearest":
-            kind, sizes = Kind.R_NEAREST_RING, {"n": int(need("n")), "r": int(need("r"))}
-        elif head == "torus":
-            dims_text = need("dims")
-            if not _DIMS_RE.match(dims_text):
-                raise ParameterError(f"malformed dims {dims_text!r}, expected <int>x<int>[x<int>...]")
-            kind, sizes = Kind.TORUS, {"dims": tuple(int(d) for d in dims_text.split("x"))}
-        else:
-            raise ParameterError(
-                f"unknown model kind {head!r}; expected ring, rnearest or torus"
-            )
-        a = float(need("a"))
-    except ValueError as exc:
-        raise ParameterError(f"bad numeric field in model spec {text!r}: {exc}") from exc
+        try:
+            values[key] = parse_field(key, fields.pop(key))
+        except ValueError as exc:
+            raise ParameterError(f"bad numeric field in model spec {text!r}: {exc}") from exc
     if fields:
         raise ParameterError(f"unexpected fields {sorted(fields)} in model spec {text!r}")
-    return NetworkModel(kind, a=a, **sizes)
+    return NetworkModel(kind, **values)
 
 
 def _format_float(x: float) -> str:
     return repr(float(x))
+
+
+def format_dims(dims) -> str:
+    """The grammar's text of a torus's sides, as in dims=3x4x5."""
+    return "x".join(map(str, dims))
 
 
 def format_model(model: NetworkModel) -> str:
@@ -307,8 +309,7 @@ def format_model(model: NetworkModel) -> str:
         return f"ring:n={model.n},a={a}"
     if model.kind is Kind.R_NEAREST_RING:
         return f"rnearest:n={model.n},r={model.r},a={a}"
-    dims = "x".join(str(k) for k in model.dims)
-    return f"torus:dims={dims},a={a}"
+    return f"torus:dims={format_dims(model.dims)},a={a}"
 
 
 # --- text output -------------------------------------------------------------

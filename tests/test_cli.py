@@ -237,6 +237,35 @@ class TestSpectrumCommand:
         assert np.max(np.abs(got - closed_values(model))) <= 1e-9
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "--model", "ring:n=4,a=0.5", "--out", "{missing}/x.json"),
+            ("figure", "--id", "7", "--out", "{missing}/"),
+        ],
+        ids=["design", "figure"],
+    )
+    def test_one_error_line(self, tmp_path, argv):
+        # a subprocess, so that an escaping OSError would show as a traceback
+        missing = tmp_path / "missing" / "dir"
+        argv = [arg.format(missing=missing) for arg in argv]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_spectra.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error type=ParameterError"), proc.stderr
+        assert "No such file or directory" in lines[0]
+        assert not missing.exists()
+
+
 class TestValidationErrors:
     def test_bad_model_exit_1(self, capsys):
         code, _, err = invoke(capsys, "design", "--model", "ring:n=2,a=0")
@@ -410,6 +439,42 @@ class TestSweepAndFigure:
         assert proc.stderr.startswith("error type=ParameterError")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sweep", "--model", "ring:n=8,a=0.3", "--vary", "n=4", "--vary", "n=6"],
+                "repeated --vary field 'n' in 'n=6'",
+            ),
+            (
+                ["design", "--model", "ring:n=8,n=9,a=0.3"],
+                "repeated field 'n' in model spec 'ring:n=8,n=9,a=0.3'",
+            ),
+            # --vary values are read by the model grammar, which rejects these dims
+            (
+                ["sweep", "--model", "torus:dims=3x4,a=0.3", "--vary", "dims=5"],
+                "malformed dims '5', expected <int>x<int>[x<int>...]",
+            ),
+            (
+                ["sweep", "--model", "torus:dims=3x4,a=0.3", "--vary", "dims=3x4,3xq"],
+                "malformed dims '3xq', expected <int>x<int>[x<int>...]",
+            ),
+        ],
+        ids=["repeated-vary", "repeated-model-field", "vary-dims-5", "vary-dims-3xq"],
+    )
+    def test_grammar_error_one_line(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error type=ParameterError message={message!r}\n"
+
+    def test_vary_values_read_like_the_model_grammar(self, capsys):
+        # blanks around a value are allowed, as in the model grammar
+        code, out, _ = invoke(
+            capsys, "sweep", "--model", "torus:dims=3x4,a=0.3", "--vary", "dims= 3x5, 4x4", "--format", "json"
+        )
+        assert code == 0
+        assert [json.loads(line)["dims"] for line in out.splitlines()] == ["3x5", "4x4"]
 
     def test_sweep_field_of_another_kind_records_error(self, capsys):
         code, out, _ = invoke(

@@ -24,7 +24,14 @@ from consensus_spectra import (
     torus,
     validate,
 )
-from consensus_spectra.topology import factor_row, link_weights, to_csv, to_json
+from consensus_spectra.topology import (
+    FIELDS,
+    factor_row,
+    link_weights,
+    parse_field,
+    to_csv,
+    to_json,
+)
 
 
 class TestValidate:
@@ -413,23 +420,60 @@ class TestModelGrammar:
         assert (m.kind, m.n, m.r, m.a) == (Kind.R_NEAREST_RING, 12, 3, 0.25)
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message",
         [
-            "lattice:n=4,a=0",
-            "ring:n=4",
-            "ring:n=four,a=0.5",
-            "torus:dims=4,a=0.1",
-            "ring:n=4,a=0.5,z=2",
-            "ring:n=2,a=0.0",
+            pytest.param(spec, message, id=spec)
+            for spec, message in [
+                # one spec per error class of the grammar, each full message
+                ("lattice:n=4,a=0", "unknown model kind 'lattice'; expected ring, rnearest or torus"),
+                ("ring:n=4", "model spec 'ring:n=4' is missing a="),
+                ("ring:n8,a=0.3", "malformed field 'n8' in model spec 'ring:n8,a=0.3'"),
+                ("torus:dims=4,a=0.1", "malformed dims '4', expected <int>x<int>[x<int>...]"),
+                (
+                    "ring:n=four,a=0.5",
+                    "bad numeric field in model spec 'ring:n=four,a=0.5': "
+                    "invalid literal for int() with base 10: 'four'",
+                ),
+                ("ring:n=4,a=0.5,z=2", "unexpected fields ['z'] in model spec 'ring:n=4,a=0.5,z=2'"),
+                ("ring:n=2,a=0.0", "ring needs integer n >= 3, got n=2"),
+                # a field given twice is named, not silently overwritten
+                ("ring:n=8,n=9,a=0.3", "repeated field 'n' in model spec 'ring:n=8,n=9,a=0.3'"),
+                (
+                    "torus:dims=3x4,a=0.2,dims=5x5",
+                    "repeated field 'dims' in model spec 'torus:dims=3x4,a=0.2,dims=5x5'",
+                ),
+            ]
         ],
     )
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ParameterError):
+    def test_rejects_malformed(self, bad, message):
+        with pytest.raises(ParameterError) as raised:
             parse_model(bad)
+        assert str(raised.value) == message
 
-    def test_field_without_equals_named(self):
-        with pytest.raises(ParameterError, match="malformed field 'n8'"):
-            parse_model("ring:n8,a=0.3")
+    @pytest.mark.parametrize(
+        "model, text, factors",
+        [
+            (ring(8, 0.3), "ring:n=8,a=0.3", ((8, 1),)),
+            (r_nearest_ring(12, 3, 0.25), "rnearest:n=12,r=3,a=0.25", ((12, 3),)),
+            (torus((3, 4, 5), 0.0), "torus:dims=3x4x5,a=0.0", ((3, 1), (4, 1), (5, 1))),
+        ],
+        ids=["ring", "rnearest", "torus"],
+    )
+    def test_format_and_factors_pinned(self, model, text, factors):
+        assert format_model(model) == text
+        assert model.factors == factors
+        assert parse_model(text) == model
+
+    def test_parse_field(self):
+        # every field's text is read here, for the grammar and for sweeps
+        assert FIELDS == ("n", "r", "dims", "a")
+        assert parse_field("n", "8") == 8 and type(parse_field("r", "3")) is int
+        assert parse_field("a", "0.25") == 0.25
+        assert parse_field("dims", " 3x4x5 ") == (3, 4, 5)
+        with pytest.raises(ParameterError, match=r"^malformed dims '5', expected"):
+            parse_field("dims", "5")
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            parse_field("n", "3.5")
 
     def test_empty_fields_skipped(self):
         assert parse_model("ring:n=8,,a=0.3") == ring(8, 0.3)
