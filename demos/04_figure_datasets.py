@@ -14,7 +14,7 @@ import consensus_spectra as cs
 out_dir = Path("figure_data")
 out_dir.mkdir(exist_ok=True)
 
-for figure_id in (3, 4, 5, 6, 7):
+for figure_id in sorted(cs.analysis.FIGURES):
     dataset = cs.figure_dataset(figure_id)
     path = cs.write_figure(dataset, out_dir)
     print(f"figure {figure_id}: {len(dataset.rows)} rows -> {path}")

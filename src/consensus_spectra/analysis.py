@@ -7,15 +7,8 @@ canonical pipeline unless the caller switches the method, and rows are
 produced serially in deterministic grid order, so a dataset regenerates
 bit-identically across runs.
 
-Each figure's grid is fixed here and recorded in the dataset metadata:
-
-* figure 3: ring, n in 4..40 even, a in {0, 0.3, 0.6, 0.9}
-* figure 4: torus, odd sides 5..21, a = 0.3
-* figure 5: r-nearest ring, n = 400, r in {8, 32, 100, 150},
-  a in 0..1 step 0.05 (the displayed radii are chosen so the rates are
-  visibly nonzero and the slowest curves hit zero near a = 0.8)
-* figure 6: torus prefixes of sides (11, 15, 21, 25, 27), a = 0.3
-* figure 7: ring, n in 4..64 even, a in {0.3, 0.9}
+The standard figures are the entries of ``FIGURES``; each dataset's
+``metadata["grid"]`` carries its entry's grid text.
 """
 
 from __future__ import annotations
@@ -77,12 +70,6 @@ def _evaluate_point(template: NetworkModel, point: dict, method: str) -> SweepRo
     )
 
 
-def _evaluate_grid(points: list[tuple[NetworkModel, dict]], method: str) -> list[SweepRow]:
-    if method not in DESIGN_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
-    return [_evaluate_point(template, point, method) for template, point in points]
-
-
 def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> list[SweepRow]:
     """One row per point of the cartesian grid over ``varying``.
 
@@ -94,8 +81,10 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
     unknown = set(keys) - set(FIELDS)
     if unknown:
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
-    points = [(template, dict(zip(keys, combo))) for combo in product(*(varying[k] for k in keys))]
-    return _evaluate_grid(points, method)
+    if method not in DESIGN_METHODS:
+        raise ValueError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
+    grid = product(*(varying[k] for k in keys))
+    return [_evaluate_point(template, dict(zip(keys, combo)), method) for combo in grid]
 
 
 @dataclass(frozen=True)
@@ -110,58 +99,56 @@ class FigureDataset:
         return f"fig{self.figure_id}_{self.label}.csv"
 
 
+# the displayed radii keep the rates visibly nonzero, and the slowest
+# curves reach zero near a = 0.8
 FIG5_RADII = (8, 32, 100, 150)
 FIG6_SIDES = (11, 15, 21, 25, 27)
 
-# figure id -> (label, grid text, template, varying), each run by sweep;
-# figure 6 mixes a ring with tori and is built in figure_dataset
-_FIGURES = {
+# figure id -> (label, grid text, [(template, varying), ...]); the
+# figure's rows are those of each sweep in turn
+FIGURES = {
     3: (
         "ring_rates",
         "ring n=4..40 even, a in {0, 0.3, 0.6, 0.9}",
-        ring(4),
-        {"n": range(4, 41, 2), "a": (0.0, 0.3, 0.6, 0.9)},
+        [(ring(4), {"n": range(4, 41, 2), "a": (0.0, 0.3, 0.6, 0.9)})],
     ),
     4: (
         "torus_odd",
         "torus k1,k2 in 5..21 odd, a=0.3",
-        torus((5, 5), 0.3),
-        {"dims": list(product(range(5, 22, 2), repeat=2))},
+        [(torus((5, 5), 0.3), {"dims": list(product(range(5, 22, 2), repeat=2))})],
     ),
     5: (
         "n400",
         f"r-nearest n=400, r in {FIG5_RADII}, a=0..1 step 0.05",
-        r_nearest_ring(400, FIG5_RADII[0]),
-        {"r": FIG5_RADII, "a": [round(0.05 * i, 2) for i in range(21)]},
+        [(r_nearest_ring(400, 8), {"r": FIG5_RADII, "a": [round(0.05 * i, 2) for i in range(21)]})],
+    ),
+    6: (
+        "dimension",
+        f"prefixes of sides {FIG6_SIDES}, m=1..5, a=0.3",
+        [
+            (ring(FIG6_SIDES[0], 0.3), {}),
+            (torus(FIG6_SIDES[:2], 0.3), {"dims": [FIG6_SIDES[:m] for m in range(2, len(FIG6_SIDES) + 1)]}),
+        ],
     ),
     7: (
         "abs_error",
         "ring n=4..64 even, a in {0.3, 0.9}",
-        ring(4),
-        {"a": (0.3, 0.9), "n": range(4, 65, 2)},
+        [(ring(4), {"a": (0.3, 0.9), "n": range(4, 65, 2)})],
     ),
 }
 
 
 def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
-    """Full dataset behind one of the standard figures (3 to 7)."""
-    if figure_id == 6:
-        label, grid = "dimension", f"prefixes of sides {FIG6_SIDES}, m=1..5, a=0.3"
-        models = [ring(FIG6_SIDES[0], 0.3)]
-        models += [torus(FIG6_SIDES[:m], 0.3) for m in range(2, len(FIG6_SIDES) + 1)]
-        rows = _evaluate_grid([(m, {}) for m in models], method)
-    elif figure_id in _FIGURES:
-        label, grid, template, varying = _FIGURES[figure_id]
-        rows = sweep(template, varying, method=method)
-    else:
-        raise ValueError(f"unknown figure id {figure_id}; expected 3..7")
+    """Full dataset behind one of the standard figures, an id of ``FIGURES``."""
+    if figure_id not in FIGURES:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
+    label, grid, sweeps = FIGURES[figure_id]
+    rows = [row for template, varying in sweeps for row in sweep(template, varying, method)]
     metadata = {"grid": grid, "method": method}
     if figure_id == 5:
-        # per radius, the last grid point where the rate is still above 1%
-        visible = {}
-        for row in rows:
-            if row.rate > 0.01:
-                visible[row.r] = max(row.a, visible.get(row.r, 0.0))
+        # per radius, the last grid point (a rises within each r) where the
+        # rate is still above 1%
+        visible = {row.r: row.a for row in rows if row.rate > 0.01}
         metadata["largest_a_with_rate_above_0.01"] = visible
     return FigureDataset(figure_id, label, rows, metadata)
 

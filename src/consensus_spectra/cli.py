@@ -14,12 +14,16 @@ subcommand offers the formats of its writers in ``_COMMANDS``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import analysis, design as design_mod, simulate as simulate_mod, spectral, topology
 from .errors import ConsensusSpectraError, DegenerateError, ParameterError, UnsupportedParityError
 from .topology import to_csv, to_json
+
+# the most points one --vary range may give
+_MAX_RANGE_POINTS = 100_000
 
 _SOURCES = {
     "closed": spectral.SpectrumSource.CLOSED_FORM,
@@ -94,11 +98,18 @@ def _parse_vary(specs: list[str]) -> dict:
                     raise ParameterError(f"malformed range {body!r}, expected start:stop[:step]")
                 start, stop = float(parts[0]), float(parts[1])
                 step = float(parts[2]) if len(parts) == 3 else 1.0
+                if not all(math.isfinite(x) for x in (start, stop, step)):
+                    raise ParameterError(f"range bounds and step must be finite in {spec!r}")
                 if step <= 0:
                     raise ParameterError(f"range step must be positive in {spec!r}")
+                too_many = f"--vary {spec!r} gives more than {_MAX_RANGE_POINTS} points"
+                if (stop + 1e-12 - start) / step >= _MAX_RANGE_POINTS:
+                    raise ParameterError(too_many)
                 values = []
                 v = start
                 while v <= stop + 1e-12:
+                    if len(values) == _MAX_RANGE_POINTS:  # v + step rounded back to v
+                        raise ParameterError(too_many)
                     value = round(v, 12)
                     # an integral point is written as an int, as n and r need
                     token = str(int(value)) if value.is_integer() else repr(value)
@@ -196,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=methods, default="pipeline")
 
     p = command("figure", "regenerate a standard figure dataset", model_required=False)
-    p.add_argument("--id", type=int, required=True, choices=(3, 4, 5, 6, 7))
+    p.add_argument("--id", type=int, required=True, choices=sorted(analysis.FIGURES))
     p.add_argument("--method", choices=methods, default="pipeline")
 
     return parser

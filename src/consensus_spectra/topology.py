@@ -265,7 +265,7 @@ def parse_field(key: str, text: str):
 def parse_model(text: str) -> NetworkModel:
     """Parse a model specification string; a repeated field is rejected."""
     head, _, body = text.strip().partition(":")
-    head = head.lower()
+    head = head.strip().lower()
     fields = {}
     for part in body.split(","):
         if not part:

@@ -17,7 +17,7 @@ from consensus_spectra import (
     write_figure,
 )
 from consensus_spectra import spectral
-from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES
+from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES, FIGURES
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -161,8 +161,43 @@ class TestFigureDatasets:
         assert spectral._closed_candidates.cache_info().misses == len(topologies)
 
     def test_unknown_figure(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"unknown figure id 8; expected one of \[3, 4, 5, 6, 7\]"):
             figure_dataset(8)
+
+    @pytest.mark.parametrize(
+        "figure_id, method, metadata",
+        [
+            (3, "pipeline", {"grid": "ring n=4..40 even, a in {0, 0.3, 0.6, 0.9}"}),
+            (4, "pipeline", {"grid": "torus k1,k2 in 5..21 odd, a=0.3"}),
+            (6, "pipeline", {"grid": "prefixes of sides (11, 15, 21, 25, 27), m=1..5, a=0.3"}),
+            (7, "pipeline", {"grid": "ring n=4..64 even, a in {0.3, 0.9}"}),
+        ]
+        + [
+            (
+                5,
+                method,
+                {
+                    "grid": "r-nearest n=400, r in (8, 32, 100, 150), a=0..1 step 0.05",
+                    "largest_a_with_rate_above_0.01": visible,
+                },
+            )
+            for method, visible in [
+                ("pipeline", {32: 0.8, 100: 0.85, 150: 0.8}),
+                ("closed", {32: 0.75, 100: 0.7, 150: 0.6}),
+                ("minimax", {32: 1.0, 100: 1.0, 150: 1.0}),
+            ]
+        ],
+    )
+    def test_metadata_pinned(self, figure_id, method, metadata):
+        # the grid texts and figure 5's visibility map, as first recorded
+        assert figure_dataset(figure_id, method).metadata == {**metadata, "method": method}
+
+    def test_every_figure_is_a_list_of_sweeps(self):
+        assert sorted(FIGURES) == [3, 4, 5, 6, 7]
+        for figure_id, (label, grid, sweeps) in FIGURES.items():
+            ds = figure_dataset(figure_id)
+            assert (ds.label, ds.metadata["grid"]) == (label, grid)
+            assert ds.rows == [row for template, varying in sweeps for row in sweep(template, varying)]
 
     def test_write_figure_naming(self, tmp_path):
         path = write_figure(figure_dataset(6), tmp_path)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -10,7 +11,10 @@ import numpy as np
 import pytest
 
 from consensus_spectra import closed_design, closed_values, design as design_mod, parse_model
+from consensus_spectra.analysis import FIGURES
 from consensus_spectra.cli import build_parser, run
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def invoke(capsys, *argv):
@@ -283,8 +287,9 @@ class TestValidationErrors:
             ("design", "--format", "json"),
             ("spectrum", "--model", "ring:n=4,a=0", "--source", "cartesian"),
             ("design", "--model", "ring:n=4,a=0", "--dense-cap", "32"),
+            ("figure", "--id", "8"),
         ],
-        ids=["bad-choice", "missing-model", "removed-source", "removed-flag"],
+        ids=["bad-choice", "missing-model", "removed-source", "removed-flag", "unknown-figure"],
     )
     def test_usage_error_exit_1(self, capsys, argv):
         code, _, err = invoke(capsys, *argv)
@@ -427,7 +432,7 @@ class TestSweepAndFigure:
     def test_sweep_non_numeric_vary_exit_1(self, model, vary):
         # run as a subprocess, so an escaping exception would show as a
         # traceback on stderr
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
             [sys.executable, "-m", "consensus_spectra.cli", "sweep", "--model", model, "--vary", vary],
             env=env,
@@ -486,6 +491,36 @@ class TestSweepAndFigure:
         assert all(row["error"].startswith("ParameterError: ring takes no r") for row in rows)
         assert all(row["rate"] is None for row in rows)
 
+    @pytest.mark.parametrize(
+        "vary, message",
+        [
+            ("a=0:inf", "range bounds and step must be finite in 'a=0:inf'"),
+            ("a=-inf:1", "range bounds and step must be finite in 'a=-inf:1'"),
+            ("a=0:1:nan", "range bounds and step must be finite in 'a=0:1:nan'"),
+            ("a=0:1e7:1e-3", "--vary 'a=0:1e7:1e-3' gives more than 100000 points"),
+            ("n=4:100004", "--vary 'n=4:100004' gives more than 100000 points"),
+            # 1e20 + 1 rounds back to 1e20, so the loop would never leave it
+            ("a=1e20:1e20:1", "--vary 'a=1e20:1e20:1' gives more than 100000 points"),
+        ],
+        ids=["inf-stop", "inf-start", "nan-step", "1e10-points", "100001-points", "stalled-step"],
+    )
+    def test_unbounded_range_exit_1(self, vary, message):
+        # a subprocess with a timeout: these ranges used to loop without end
+        proc = subprocess.run(
+            [sys.executable, "-m", "consensus_spectra.cli", "sweep", "--model", "ring:n=8,a=0.3", "--vary", vary],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error type=ParameterError message={message!r}\n"
+
+    def test_figure_ids_are_the_figure_table(self, capsys):
+        code, out, _ = invoke(capsys, "figure", "--help")
+        assert code == 0
+        assert f"--id {{{','.join(map(str, sorted(FIGURES)))}}}" in out
+
     def test_figure_to_file(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "figure", "--id", "6", "--out", str(tmp_path))
         assert code == 0
@@ -497,3 +532,26 @@ class TestSweepAndFigure:
         code, out, _ = invoke(capsys, "figure", "--id", "3", "--format", "csv")
         assert code == 0
         assert out.startswith("kind;n;r;dims;a;")
+
+
+def test_cli_reads_no_private_package_name():
+    # the frontend uses the package's public surface only, both as
+    # ``from .x import _y`` and as ``module._y``
+    tree = ast.parse((SRC / "consensus_spectra" / "cli.py").read_text())
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("consensus_spectra")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(alias.name)
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert {"analysis", "design_mod", "spectral", "topology"} <= modules
+    assert private == []

@@ -402,6 +402,12 @@ class TestModelGrammar:
         model = parse_model(text)
         assert parse_model(format_model(model)) == model
 
+    def test_blanks_around_the_kind(self):
+        # stripped, as blanks around keys and values are
+        model = parse_model(" ring : n = 8 , a = 0.3 ")
+        assert model == ring(8, 0.3)
+        assert format_model(model) == "ring:n=8,a=0.3"
+
     @pytest.mark.parametrize(
         "build",
         [
