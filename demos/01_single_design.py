@@ -13,7 +13,7 @@ import consensus_spectra as cs
 
 model = cs.ring(4, a=0.5)
 print(f"model: {cs.format_model(model)}")
-print(f"Laplacian first row: {cs.dense_laplacian(model)[0]}")
+print(f"Laplacian first row: {cs.topology.factor_row(*model.factors[0], model.a)}")
 
 spectrum = cs.full_spectrum(model)
 print("\neigenvalues (index, value):")

@@ -35,7 +35,6 @@ from .errors import (
     DivergenceError,
     InsufficientDataError,
     ParameterError,
-    SizeError,
     UnsupportedParityError,
 )
 from .simulate import (
@@ -62,10 +61,8 @@ from .spectral import (
     spectrum_to_json,
 )
 from .topology import (
-    DEFAULT_DENSE_CAP,
     Kind,
     NetworkModel,
-    dense_laplacian,
     format_model,
     parse_model,
     r_nearest_ring,

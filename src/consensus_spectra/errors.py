@@ -9,10 +9,6 @@ class ParameterError(ConsensusSpectraError):
     """A network model violates one of its parameter constraints."""
 
 
-class SizeError(ConsensusSpectraError):
-    """A dense operation would exceed its node cap."""
-
-
 class DegenerateError(ConsensusSpectraError):
     """The extremal eigenvalue pair has equal moduli, so the
     equal-modulus equation for the consensus parameter has no nonzero

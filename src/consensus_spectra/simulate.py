@@ -3,17 +3,15 @@
 The iteration preserves the mean of the state vector (column sums of L
 are zero), so the error norm tracked here is the Euclidean distance to
 the uniform vector at the initial average.  Per-step multiplication
-either reads the materialized Laplacian's nonzeros or exploits
-structure (two circular window sums for the r-nearest ring, per-axis
-cyclic shifts on the torus grid, of which the ring is the one-axis
-case).  The two routes sum in different orders, so their traces agree
-to about 1e-12, not bit for bit.
+either reads the Laplacian's nonzeros or exploits structure (two
+circular window sums for the r-nearest ring, per-axis cyclic shifts on
+the torus grid, of which the ring is the one-axis case).  The two routes
+sum in different orders, so their traces agree to about 1e-12, not bit
+for bit.  Neither builds an n x n matrix, so neither is capped in size.
 
-The dense step builds L once per run with ``dense_laplacian``, keeps its
-nonzeros as a (k, n) table of column indices and one of weights (every
-row of a Kronecker sum of circulants has the same count k) and releases
-L; a step gathers, multiplies and sums the k terms of each row in
-ascending column order, O(n k) rather than O(n^2).
+The dense step reads L's k nonzeros per row from the factors' rows
+once per run; a step gathers, multiplies and sums the k terms of each
+row in ascending column order, in O(n k).
 
 Neither step allocates: the buffers and the double-buffered state are
 allocated once per run.  A torus shift is a flat contiguous copy by the
@@ -42,7 +40,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, InsufficientDataError, ParameterError
-from .topology import Kind, NetworkModel, _is_int, dense_laplacian, link_weights, to_csv, to_json
+from .topology import Kind, NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -173,34 +171,45 @@ def _structured_apply_L(model: NetworkModel):
     return apply
 
 
-def _dense_apply_L(model: NetworkModel):
-    """Return (x, mean) -> L @ x over the materialized Laplacian's
-    nonzeros; ``mean`` is not read.
-
-    L comes from ``dense_laplacian``, so this route does not share the
-    structured step's kernels.  Its nonzeros are read once: every row of
-    a Kronecker sum of circulants has the same count k (2d + 1 for
-    degree weight d, d + 1 at a = 1, where the forward weights are 0), so
-    they fit a (k, n) table of column indices and one of weights.  The
-    step keeps only the tables, so L is released when this returns.  A
-    step gathers and weights the (k, n) terms and reduces over the first
-    axis, which adds row i's nonzeros of L in ascending column order, and
-    allocates nothing: each call overwrites and returns the same output
-    array.
-    """
-    lap = dense_laplacian(model)
+def _dense_tables(model: NetworkModel):
+    """L's nonzeros, read from the factors, as (k, n) tables of column
+    indices and weights: column i holds row i's, columns ascending.  Row i
+    holds the degree weight at i and each nonzero ``factor_row`` entry at
+    i's neighbour along that factor's axis (the first axis slowest); every
+    row has the same k, 2d + 1 for degree weight d (d + 1 at a = 1, where
+    the forward weights are 0)."""
     n = model.order
-    rows, cols = np.nonzero(lap)
-    # np.nonzero lists row by row, columns ascending within a row
-    idx = cols.reshape(n, -1).T.copy()
-    weights = lap[rows, cols].reshape(n, -1).T.copy()
+    node = np.arange(n)
+    cols, weights = [node], [model.degree_weight]
+    stride = n
+    for side, radius in model.factors:
+        stride //= side
+        coord = node // stride % side
+        row = factor_row(side, radius, model.a)
+        # row[0], the factor's radius, is its share of the degree weight
+        for offset in np.flatnonzero(row)[1:]:
+            cols.append(node + ((coord + offset) % side - coord) * stride)
+            weights.append(row[offset])
+    cols = np.array(cols)
+    order = cols.argsort(axis=0)
+    cols.sort(axis=0)
+    return cols, np.array(weights)[order]
+
+
+def _dense_apply_L(model: NetworkModel):
+    """Return (x, mean) -> L @ x over ``_dense_tables``; ``mean`` is not
+    read.  The route shares no kernel with the structured step.  A step
+    adds row i's k weighted terms in ascending column order and allocates
+    nothing: each call overwrites and returns the same output array."""
+    n = model.order
+    cols, weights = _dense_tables(model)
     terms = np.empty_like(weights)
     out = np.empty(n)
 
     def apply(x, mean):
         # every index is in range, so "wrap" changes none; the default
         # "raise" would copy the gather through a temporary of the table's size
-        np.take(x, idx, out=terms, mode="wrap")
+        np.take(x, cols, out=terms, mode="wrap")
         np.multiply(terms, weights, out=terms)
         np.add.reduce(terms, axis=0, out=out)
         return out
@@ -219,10 +228,10 @@ def run_consensus(
     """Iterate until the error norm falls to ``tolerance`` or
     ``max_steps`` is exhausted.
 
-    The dense cap bounds only the ``dense=True`` path, which materializes
-    L once and then steps over its nonzeros; the default structured step
-    is O(n) and runs at any size.  The empirical factor is taken over the
-    last ``DEFAULT_WINDOW`` steps.
+    The default structured step is O(n); the ``dense=True`` step reads
+    L's k nonzeros per row, O(n k), and is a cross-check that shares no
+    kernel with it.  Neither has a size cap.  The empirical factor is
+    taken over the last ``DEFAULT_WINDOW`` steps.
 
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value or turns NaN, which signals a non-contracting weight

@@ -1,17 +1,20 @@
-"""Network models and their directed Laplacian matrices.
+"""Network models and the rows of their directed Laplacians.
 
 Four regular families are supported: the ring, the r-nearest-neighbor
 ring, the 2-D torus and the m-dimensional torus (the torus kind covers
 every m >= 2), each a Cartesian sum of directed circulant factors
-(``NetworkModel.factors``), which the spectra and Laplacians read.  The
-ring stays a kind of its own for the model grammar and the catalog.
+(``NetworkModel.factors``), which the spectra and the consensus steps
+read.  The ring stays a kind of its own for the model grammar and the
+catalog.  A model's Laplacian is the Kronecker sum of its factors'
+circulant matrices, each given by its first row, ``factor_row``;
+nothing here builds it as an order x order matrix.
 
 Links are directional: the forward neighbor of a node is weighted
 (1 - a) / 2 and the backward neighbor (1 + a) / 2, where a in [0, 1] is
 the asymmetric link factor.  a = 0 reproduces the undirected network
 exactly, a = 1 is a fully one-directional cycle.  Although links are
 directed, every node's in-weights and out-weights sum to the same value
-for these families, which is why the Laplacians below have zero column
+for these families, which is why the Laplacians have zero column
 sums as well as zero row sums.
 
 All values are immutable after construction and every operation is a
@@ -30,9 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SizeError
-
-DEFAULT_DENSE_CAP = 10_000
+from .errors import ParameterError
 
 
 class Kind(enum.Enum):
@@ -57,6 +58,10 @@ def _normalised(n, r, dims, a) -> dict:
     # export like ints; other values are left for validate to reject
     if dims is not None:
         dims = tuple(_as_int(k) for k in dims)
+    if _is_int(a):
+        # an integral a is stored as the float it equals, so ring(4, 1)
+        # exports a as 1.0, as ring(4, 1.0) does, and a numpy integer passes
+        a = float(a)
     if isinstance(a, float) and a == 0.0:
         # -0.0 is stored as 0.0: it formats as "a=0.0" and is one
         # model with +0.0, as equality and hashing already say
@@ -131,7 +136,7 @@ def validate(model: NetworkModel) -> NetworkModel:
     ``NetworkModel.__post_init__`` runs it, so every built model passes.
     """
     a = model.a
-    if isinstance(a, bool) or not (isinstance(a, (int, float)) and math.isfinite(a)):
+    if not (isinstance(a, float) and math.isfinite(a)):
         raise ParameterError(f"asymmetric factor a must be a finite real, got {a!r}")
     if not 0.0 <= a <= 1.0:
         raise ParameterError(f"asymmetric factor a={a} outside [0, 1]")
@@ -189,56 +194,6 @@ def factor_row(side: int, radius: int, a: float) -> np.ndarray:
     row[0] = float(radius)
     row[1 : radius + 1], row[side - radius : side] = link_weights(a)
     return row
-
-
-def _factor_matrix(side: int, radius: int, a: float) -> np.ndarray:
-    # entry (i, j) is row[(j - i) % side]: window side - i of the doubled
-    # row, so the matrix is one copy of a strided view, with no index matrix
-    row = factor_row(side, radius, a)
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row)), side)
-    return windows[side:0:-1].copy()
-
-
-def _kronecker_sum(mat: np.ndarray, lap: np.ndarray) -> np.ndarray:
-    """kron(mat, I) + kron(I, lap), with the same products and sums, built
-    in the one result array.  The identity's entries are 0.0 and 1.0, so
-    the second term's blocks are 0.0 * lap off the block diagonal and
-    1.0 * lap on it; each product keeps its sign of zero."""
-    m, s = len(mat), len(lap)
-    out = np.empty((m * s, m * s))
-    blocks = out.reshape(m, s, m, s)
-    eye = np.eye(s)
-    np.multiply(mat[:, None, :, None], eye[None, :, None, :], out=blocks)
-    np.add(blocks, 0.0 * lap[None, :, None, :], out=blocks)
-    # the diagonal blocks are made again, with 1.0 * lap as the second term
-    unit = 1.0 * lap
-    for i in range(m):
-        block = blocks[i, :, i, :]
-        np.multiply(mat[i, i], eye, out=block)
-        np.add(block, unit, out=block)
-    return out
-
-
-def dense_laplacian(model: NetworkModel) -> np.ndarray:
-    """Materialize the full Laplacian matrix, node i at row i.  Row and
-    column sums are both zero, which makes the consensus iteration
-    average-preserving.
-
-    The Laplacian is the Kronecker sum of the factors' circulant
-    matrices, all sharing the same asymmetric factor; node indices are
-    mixed-radix with dimension 1 slowest-varying, and a one-factor model
-    is its factor's matrix.  Each Kronecker sum is built in its result
-    array, so the peak is about one n x n matrix.  Raises SizeError,
-    before allocating, past ``DEFAULT_DENSE_CAP`` nodes.
-    """
-    order = model.order
-    if order > DEFAULT_DENSE_CAP:
-        raise SizeError(f"order {order} exceeds dense cap {DEFAULT_DENSE_CAP}")
-    first, *rest = model.factors
-    mat = _factor_matrix(*first, model.a)
-    for side, radius in rest:
-        mat = _kronecker_sum(mat, _factor_matrix(side, radius, model.a))
-    return mat
 
 
 # --- model grammar -----------------------------------------------------------

@@ -231,7 +231,7 @@ class TestSpectrumCommand:
         assert len(json.loads(out)) == 5
 
     def test_oracle_above_dense_cap(self, capsys):
-        # the O(n log n) oracle has no cap: 20000 nodes, twice the dense one
+        # the O(n log n) oracle runs at any size: 20000 nodes
         model = parse_model("ring:n=20000,a=0.3")
         code, out, _ = invoke(
             capsys, "spectrum", "--model", "ring:n=20000,a=0.3", "--source", "dft", "--format", "json"
@@ -320,7 +320,7 @@ class TestSimulateAndVerify:
         assert len(lines) >= 10
 
     def test_simulate_above_dense_cap(self, capsys):
-        # the structured step is O(n), so no cap applies to it
+        # the structured step is O(n) and runs at any size
         code, out, _ = invoke(
             capsys, "simulate", "--model", "ring:n=20000,a=0.3", "--steps", "3", "--format", "json"
         )

@@ -12,11 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_spectra import (
-    DEFAULT_DENSE_CAP,
     DivergenceError,
     InsufficientDataError,
     ParameterError,
-    SizeError,
     design_pipeline,
     empirical_contraction,
     format_model,
@@ -34,10 +32,12 @@ from consensus_spectra import (
 from consensus_spectra.simulate import (
     DEFAULT_WINDOW,
     _dense_apply_L,
+    _dense_tables,
     _late_window_factor,
     _structured_apply_L,
 )
-from consensus_spectra.topology import Kind, dense_laplacian
+from consensus_spectra.topology import Kind
+from laplacian_reference import reference_laplacian
 
 
 def scalar_uniform_stream(seed, size):
@@ -73,8 +73,8 @@ class TestSplitmix:
 
 
 def _apply_models():
-    # unequal sides in both orders and a 4-axis torus: a wrong stride or
-    # wrap slab would apply L^T or mix axes
+    # unequal sides in both orders and tori of 3 to 5 axes: a wrong stride
+    # or wrap slab would apply L^T or mix axes
     models = []
     for a in (0.0, 0.37, 1.0):
         models += [
@@ -82,6 +82,7 @@ def _apply_models():
             torus((3, 4, 5), a),
             torus((3, 7, 4, 5), a),
             torus((9, 3), a),
+            torus((3, 4, 3, 3, 4), a),
             r_nearest_ring(14, 1, a),
             r_nearest_ring(14, 6, a),
             r_nearest_ring(12, 5, a),
@@ -119,9 +120,9 @@ def reference_apply_L(model):
 
 
 def reference_dense_apply_L(model):
-    """The allocating dense step: each row's nonzeros of the materialized
+    """The allocating dense step: each row's nonzeros of the reference
     Laplacian, summed left to right in ascending column order."""
-    lap = dense_laplacian(model)
+    lap = reference_laplacian(model)
     cols = np.array([np.flatnonzero(row) for row in lap])
     weights = np.take_along_axis(lap, cols, axis=1)
 
@@ -189,7 +190,7 @@ class TestStructuredApply:
         # entrywise comparison, unlike error norms, tells L from L^T
         x = 1e6 + uniform_vector(5, model.order)
         got = _structured_apply_L(model)(x, x.mean())
-        expected = dense_laplacian(model) @ x
+        expected = reference_laplacian(model) @ x
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(x)
 
     @pytest.mark.parametrize("model", _window_models(), ids=format_model)
@@ -200,7 +201,7 @@ class TestStructuredApply:
         x = 1e6 + uniform_vector(5, model.order)
         d = x - x.mean()
         got = _structured_apply_L(model)(x, x.mean())
-        expected = dense_laplacian(model) @ d
+        expected = reference_laplacian(model) @ d
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.linalg.norm(d)
 
 
@@ -209,13 +210,30 @@ class TestDenseApply:
     def test_matches_lap_times_x(self, model):
         # entry by entry, within the rounding of two k-term sums: unlike
         # error norms, this tells L from L^T
-        lap = dense_laplacian(model)
+        lap = reference_laplacian(model)
         x = uniform_vector(5, model.order) - 0.5
         got = _dense_apply_L(model)(x, x.mean())
         k = np.count_nonzero(lap, axis=1)
         assert np.all(k == k[0])
         bound = 2 * k * np.finfo(float).eps * (np.abs(lap) @ np.abs(x))
         assert np.all(np.abs(got - lap @ x) <= bound)
+
+    @pytest.mark.parametrize(
+        "model",
+        _apply_models()
+        + [ring(7, 0.4), r_nearest_ring(11, 3, 0.9), torus((3, 4), 0.6), torus((3, 4, 5), 0.3)]
+        + [torus((4, 3), 1.0)],
+        ids=format_model,
+    )
+    def test_tables_are_the_reference_nonzeros(self, model):
+        # row by row, the columns in order and the weights bit for bit: the
+        # tables of L^T, with the forward and backward weights swapped, fail
+        # at every a > 0, where an error-norm comparison cannot tell them apart
+        cols, weights = _dense_tables(model)
+        for i, row in enumerate(reference_laplacian(model)):
+            nonzero = np.flatnonzero(row)
+            assert cols[:, i].tolist() == nonzero.tolist()
+            assert weights[:, i].tobytes() == row[nonzero].tobytes()
 
     def test_step_allocates_nothing(self):
         model = torus((30, 30), 0.3)
@@ -231,13 +249,16 @@ class TestDenseApply:
             tracemalloc.stop()
         assert peak < x.nbytes
 
-    def test_run_releases_L(self):
-        # L is materialized once, read into (k, n) tables and released: the
-        # peak is one n x n matrix plus O(n k), and no step holds L.  The
-        # loop takes the error norm before the first step and after each
-        # one, so its calls sample the memory held during the steps
-        model = torus((40, 50), 0.3)
-        n, k = model.order, 5
+    @pytest.mark.parametrize(
+        "model", [torus((40, 50), 0.3), ring(10**5, 0.3), r_nearest_ring(10**5, 8, 0.3)], ids=format_model
+    )
+    def test_run_memory_is_linear(self, model):
+        # L's nonzeros are read from the factors into (k, n) tables: the
+        # set-up holds at most three of them, and no n x n matrix, which
+        # would take 80 GB at 10**5 nodes.  The loop takes the error norm
+        # before the first step and after each one, so its calls sample the
+        # memory held during the steps
+        n, k = model.order, 2 * int(model.degree_weight) + 1
         x0 = uniform_vector(1, n)
         held = []
 
@@ -254,8 +275,7 @@ class TestDenseApply:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert len(held) == 6
-        # the nonzeros' rows, columns and weights, and the two tables
-        assert peak <= n * n * 8 + 6 * n * k * 8 + 2**16
+        assert peak <= 3 * n * k * 8 + 6 * x0.nbytes + 2**16
         # the index, weight and term tables and four state vectors
         assert max(held) <= 3 * n * k * 8 + 4 * x0.nbytes + 2**16
 
@@ -418,22 +438,16 @@ class TestRunConsensus:
         with pytest.raises(ParameterError, match="max_steps"):
             run_consensus(ring(8, 0.3), 0.5, uniform_vector(1, 8), max_steps, 1e-12)
 
-    def test_cap(self):
-        # only the dense path materializes L, so only it is capped, and it
-        # refuses before allocating the n x n matrix
-        n = DEFAULT_DENSE_CAP + 1
-        model = ring(n, 0.0)
-        x0 = uniform_vector(1, n)
-        tracemalloc.start()
-        try:
-            with pytest.raises(SizeError):
-                run_consensus(model, 0.5, x0, 10, 1e-9, dense=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * 8
-        trace = run_consensus(model, 0.5, x0, 3, 1e-300)
-        assert trace.steps == 3
+    def test_no_cap(self):
+        # no route builds an n x n matrix, so the dense one runs past 10**4
+        # nodes and agrees with the structured one
+        model = ring(20_001, 0.3)
+        x0 = uniform_vector(1, model.order)
+        structured = run_consensus(model, 0.5, x0, 10, 1e-300)
+        dense = run_consensus(model, 0.5, x0, 10, 1e-300, dense=True)
+        assert structured.steps == dense.steps == 10
+        assert np.max(np.abs(structured.error_norms - dense.error_norms)) <= 1e-12
+        assert np.max(np.abs(structured.averages - dense.averages)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=4, max_value=40))
     @settings(max_examples=25, deadline=None)
