@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .design import DESIGN_METHODS, design_pipeline
 from .errors import ConsensusSpectraError, ParameterError
-from .topology import FIELDS, NetworkModel, _normalised, format_dims, r_nearest_ring, ring, torus
+from .topology import FIELDS, NetworkModel, _normalised, format_field, r_nearest_ring, ring, torus
 from .topology import to_csv, to_json
 
 
@@ -42,14 +42,14 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["dims"] = format_dims(self.dims) if self.dims else ""
+        d["dims"] = format_field("dims", self.dims) if self.dims else ""
         return d
 
 
 def _evaluate_point(template: NetworkModel, point: dict, method: str) -> SweepRow:
     """The row of ``template`` with the fields of ``point`` replaced.  A
     point that builds no model records the fields it would have stored."""
-    fields = {"n": template.n, "r": template.r, "dims": template.dims, "a": template.a} | point
+    fields = {key: getattr(template, key) for key in FIELDS} | point
     base = {"kind": template.kind.value, **_normalised(**fields), "method": method}
     try:
         model = dataclasses.replace(template, **point)

@@ -56,7 +56,7 @@ from .spectral import (
     _factors,
     factor_extremal_pair,
 )
-from .topology import Kind, NetworkModel, format_model
+from .topology import NetworkModel, format_model
 
 ASSUMPTION_NOTES = (
     "r-nearest closed forms read the squared asymmetry coefficient as a**2",
@@ -147,9 +147,9 @@ def formula_case(model: NetworkModel) -> str:
         raise UnsupportedParityError(
             f"no closed form for mixed-parity torus dims {model.dims}; use design_pipeline"
         )
-    family = model.kind.value  # "ring" or "rnearest"
-    if model.kind is Kind.TORUS:
-        family = "torus2" if len(model.dims) == 2 else "torusN"
+    # one side is a ring's or an r-nearest ring's; more make a torus
+    m = len(model.shape)
+    family = model.kind.value if m == 1 else "torus2" if m == 2 else "torusN"
     return f"{family}-{'even' if parities.pop() == 0 else 'odd'}"
 
 

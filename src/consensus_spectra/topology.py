@@ -54,18 +54,14 @@ def _as_int(v):
 
 def _normalised(n, r, dims, a) -> dict:
     """The field values a model stores."""
-    # sizes are stored as Python ints in a tuple, so numpy integers
-    # export like ints; other values are left for validate to reject
+    # sizes are stored as Python ints in a tuple, and a real a that is not
+    # a bool as the Python float it equals (adding 0.0 turns -0.0 into
+    # 0.0), so numpy values print, export and compare like Python ones;
+    # other values are left for validate to reject
     if dims is not None:
         dims = tuple(_as_int(k) for k in dims)
-    if _is_int(a):
-        # an integral a is stored as the float it equals, so ring(4, 1)
-        # exports a as 1.0, as ring(4, 1.0) does, and a numpy integer passes
-        a = float(a)
-    if isinstance(a, float) and a == 0.0:
-        # -0.0 is stored as 0.0: it formats as "a=0.0" and is one
-        # model with +0.0, as equality and hashing already say
-        a = 0.0
+    if type(a) is float or (isinstance(a, numbers.Real) and not isinstance(a, bool)):
+        a = float(a) + 0.0
     return {"n": _as_int(n), "r": _as_int(r), "dims": dims, "a": a}
 
 
@@ -126,7 +122,13 @@ def torus(dims, a: float = 0.0) -> NetworkModel:
     return NetworkModel(kind=Kind.TORUS, a=a, dims=dims)
 
 
-_SIZE_FIELDS = {Kind.RING: ("n",), Kind.R_NEAREST_RING: ("n", "r"), Kind.TORUS: ("dims",)}
+FIELDS = ("n", "r", "dims", "a")
+# the fields a model of each kind stores, in the grammar's order
+_KIND_FIELDS = {
+    Kind.RING: ("n", "a"),
+    Kind.R_NEAREST_RING: ("n", "r", "a"),
+    Kind.TORUS: ("dims", "a"),
+}
 
 
 def validate(model: NetworkModel) -> NetworkModel:
@@ -169,9 +171,9 @@ def validate(model: NetworkModel) -> NetworkModel:
                 raise ParameterError(f"torus needs every k_i an integer >= 3, got k_{i + 1}={k}")
     else:
         raise ParameterError(f"unknown kind {model.kind!r}")
-    for field in ("n", "r", "dims"):
+    for field in FIELDS:
         value = getattr(model, field)
-        if value is not None and field not in _SIZE_FIELDS[model.kind]:
+        if value is not None and field not in _KIND_FIELDS[model.kind]:
             raise ParameterError(f"{model.kind.value} takes no {field}, got {field}={value}")
     return model
 
@@ -203,7 +205,6 @@ def factor_row(side: int, radius: int, a: float) -> np.ndarray:
 # torus:dims=<int>x<int>[x<int>...],a=<float>
 
 _DIMS_RE = _re.compile(r"^\s*\d+(x\d+)+\s*$")
-FIELDS = ("n", "r", "dims", "a")
 _NUMBERS = {"n": int, "r": int, "a": float}
 
 
@@ -236,7 +237,7 @@ def parse_model(text: str) -> NetworkModel:
     kind = Kind(head)
     # all fields are read first: a stray field is reported before a broken constraint
     values = {}
-    for key in (*_SIZE_FIELDS[kind], "a"):
+    for key in _KIND_FIELDS[kind]:
         if key not in fields:
             raise ParameterError(f"model spec {text!r} is missing {key}=")
         try:
@@ -248,23 +249,16 @@ def parse_model(text: str) -> NetworkModel:
     return NetworkModel(kind, **values)
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
-def format_dims(dims) -> str:
-    """The grammar's text of a torus's sides, as in dims=3x4x5."""
-    return "x".join(map(str, dims))
+def format_field(key: str, value) -> str:
+    """Inverse of parse_field: the grammar's text of a stored field value,
+    as in n=8, a=0.3 or dims=3x4x5."""
+    return "x".join(map(str, value)) if key == "dims" else str(value)
 
 
 def format_model(model: NetworkModel) -> str:
     """Inverse of parse_model: format_model(parse_model(s)) round-trips."""
-    a = _format_float(model.a)
-    if model.kind is Kind.RING:
-        return f"ring:n={model.n},a={a}"
-    if model.kind is Kind.R_NEAREST_RING:
-        return f"rnearest:n={model.n},r={model.r},a={a}"
-    return f"torus:dims={format_dims(model.dims)},a={a}"
+    fields = [f"{key}={format_field(key, getattr(model, key))}" for key in _KIND_FIELDS[model.kind]]
+    return f"{model.kind.value}:{','.join(fields)}"
 
 
 # --- text output -------------------------------------------------------------
@@ -273,12 +267,11 @@ def format_model(model: NetworkModel) -> str:
 
 
 def _cell(v) -> str:
-    return "" if v is None else _format_float(v) if isinstance(v, float) else str(v)
+    return "" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def _cells(column):
-    # the rule of _cell, tested once per column where the types allow:
-    # float.__repr__(v) is repr(float(v)) for a float
+    # the rule of _cell, tested once per column where the types allow
     types = set(map(type, column))
     if types <= {float}:
         return map(float.__repr__, column)

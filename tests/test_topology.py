@@ -24,12 +24,26 @@ from consensus_spectra import (
 from consensus_spectra.topology import (
     FIELDS,
     factor_row,
+    format_field,
     link_weights,
     parse_field,
     to_csv,
     to_json,
 )
+from conftest import A_GRID, grid_models
 from laplacian_reference import reference_laplacian
+
+GRID = [model for a in A_GRID for model in grid_models(a)]
+
+
+def _reference_text(model):
+    # the grammar's text, written out kind by kind
+    a = repr(float(model.a))
+    if model.kind is Kind.RING:
+        return f"ring:n={model.n},a={a}"
+    if model.kind is Kind.R_NEAREST_RING:
+        return f"rnearest:n={model.n},r={model.r},a={a}"
+    return f"torus:dims={'x'.join(map(str, model.dims))},a={a}"
 
 
 class TestValidate:
@@ -370,15 +384,28 @@ class TestModelGrammar:
 
     @pytest.mark.parametrize(
         "a, twin",
-        [(0, 0.0), (1, 1.0), (np.int64(1), 1.0), (np.uint8(0), 0.0)],
-        ids=["0", "1", "int64", "uint8"],
+        [
+            (0, 0.0),
+            (1, 1.0),
+            (np.int64(1), 1.0),
+            (np.uint8(0), 0.0),
+            (np.float64(0.5), 0.5),
+            (np.float64(-0.0), 0.0),
+            (np.float32(0.5), 0.5),
+            (np.float32(0.3), 0.30000001192092896),
+        ],
+        ids=["0", "1", "int64", "uint8", "float64", "float64-neg-zero", "float32", "float32-inexact"],
     )
-    def test_integral_a_is_stored_as_a_float(self, a, twin):
-        # equal to the float model and hashed like it, so written like it; a
-        # numpy integer is accepted, as it is for every size field
+    def test_real_a_is_stored_as_a_python_float(self, a, twin):
+        # stored as the Python float it equals, so the model prints, sweeps
+        # and writes as that float's model does; a numpy int or float is
+        # accepted, as a numpy integer is for every size field
         model, reference = ring(4, a), ring(4, twin)
         assert type(model.a) is float and model == reference
+        assert repr(model) == repr(reference)
         rows, reference_rows = sweep(model, {}), sweep(reference, {})
+        assert rows == reference_rows and type(rows[0].a) is float
+        assert sweep(reference, {"a": [a]}) == reference_rows
         assert rows_to_csv(rows) == rows_to_csv(reference_rows)
         assert rows_to_jsonl(rows) == rows_to_jsonl(reference_rows)
 
@@ -441,6 +468,25 @@ class TestModelGrammar:
             parse_field("dims", "5")
         with pytest.raises(ValueError, match="invalid literal for int"):
             parse_field("n", "3.5")
+        # format_field writes each stored value back as that text
+        assert format_field("n", 8) == "8" and format_field("a", 0.25) == "0.25"
+        assert format_field("dims", (3, 4, 5)) == "3x4x5"
+
+    def test_grid_format_is_the_reference_text(self):
+        texts = [(format_model(m), _reference_text(m)) for m in GRID]
+        assert [pair for pair in texts if pair[0] != pair[1]] == []
+
+    def test_grid_round_trips(self):
+        assert [m for m in GRID if parse_model(format_model(m)) != m] == []
+
+    def test_grid_stored_fields_round_trip(self):
+        # every field a model stores is written and read back to its value and type
+        for model in GRID:
+            for key in FIELDS:
+                value = getattr(model, key)
+                if value is not None:
+                    back = parse_field(key, format_field(key, value))
+                    assert (back, type(back)) == (value, type(value)), (format_model(model), key)
 
     def test_empty_fields_skipped(self):
         assert parse_model("ring:n=8,,a=0.3") == ring(8, 0.3)
