@@ -21,8 +21,7 @@ for j, value in enumerate(spectrum.values):
     print(f"  j={j}: {value:.6f}")
 
 pipeline = cs.design_pipeline(model)
-pair = pipeline.extremal
-print(f"\nextremal pair: lambda_s = {pair.lambda_s.value}, lambda_l = {pair.lambda_l.value}")
+print(f"\nextremal pair: lambda_s = {pipeline.lambda_s.value}, lambda_l = {pipeline.lambda_l.value}")
 
 print(f"\npair-solve design: h = {pipeline.h:.12f}  (8/11 = {8/11:.12f})")
 print(f"                   gamma = {pipeline.gamma:.12f}  (5/11 = {5/11:.12f})")

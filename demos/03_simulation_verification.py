@@ -22,7 +22,9 @@ for model in [cs.ring(16, 0.3), cs.torus((4, 4), 0.0), cs.r_nearest_ring(24, 2, 
 # report records the failure instead of raising
 model = cs.ring(8, 0.0)
 good = cs.design_pipeline(model)
-bad = cs.ConsensusDesign(h=2.0, gamma=3.0, rate=-2.0, method=good.method, extremal=good.extremal)
+bad = cs.ConsensusDesign(
+    h=2.0, gamma=3.0, method=good.method, lambda_s=good.lambda_s, lambda_l=good.lambda_l
+)
 report = cs.verify_consensus(model, bad, trials=1, seed=7)
 print(f"bad step size on {cs.format_model(model)}: pass={report[0].passed}, note: {report[0].note}")
 

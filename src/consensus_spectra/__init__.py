@@ -50,7 +50,6 @@ from .simulate import (
 )
 from .spectral import (
     ComplexEigenvalue,
-    ExtremalPair,
     Spectrum,
     SpectrumSource,
     circulant_spectrum,

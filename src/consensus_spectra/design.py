@@ -11,16 +11,18 @@ no full spectrum is built).  It then solves
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
 for the single nonzero real h, and reports the convergence factor
-gamma = |1 - h*lambda_s| and rate R = 1 - gamma.
+gamma = |1 - h*lambda_s|.  A ``ConsensusDesign`` stores h, gamma, the
+method and the pair it read; its ``rate`` R = 1 - gamma is derived.
 
 A catalog of closed-form expressions covers each topology/parity case
 (even/odd ring, even-even/odd-odd torus, all-even/all-odd m-torus,
 even/odd r-nearest ring).  Its entries are evaluated as catalogued, in
 plain floats; at a pole an r-nearest entry reports nan (0/0 or a
 negative radicand) or an infinity signed like its numerator, never an
-error.  ``closed_form_R`` returns the raw value with a tag recording
-whether it equals the pipeline rate, the pipeline rate minus one, or
-neither; no entry is silently corrected.  Known quirks (literal 0.16
+error.  ``closed_form_R`` returns the raw value beside the pipeline
+rate; the ``ReconciledRate``'s derived ``tag`` records whether the
+value equals the pipeline rate, the pipeline rate minus one, or
+neither.  No entry is silently corrected.  Known quirks (literal 0.16
 coefficients in the odd-odd torus entry, the squared asymmetry
 coefficient in the r-nearest entries read as a**2) are kept so that
 deviations stay visible.  The pipeline, the catalog's reconciliation
@@ -48,14 +50,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DegenerateError, UnsupportedParityError
-from .spectral import (
-    ComplexEigenvalue,
-    ExtremalPair,
-    Spectrum,
-    SpectrumSource,
-    _factors,
-    factor_extremal_pair,
-)
+from .spectral import ComplexEigenvalue, Spectrum, SpectrumSource, _factors, factor_extremal_pair
 from .topology import NetworkModel, format_model
 
 ASSUMPTION_NOTES = (
@@ -78,11 +73,20 @@ class ReconciliationTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ConsensusDesign:
+    """h, gamma, the method and the pair it read (None, None if degenerate)."""
+
     h: float
     gamma: float
-    rate: float
     method: DesignMethod
-    extremal: ExtremalPair | None
+    lambda_s: ComplexEigenvalue | None
+    lambda_l: ComplexEigenvalue | None
+
+    @property
+    def rate(self) -> float:
+        return 1.0 - self.gamma
+
+
+_RECONCILE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,17 @@ class ReconciledRate:
     """A catalog rate value and its relation to the pipeline rate."""
 
     value: float
-    tag: ReconciliationTag
     pipeline_rate: float
     case: str
+
+    @property
+    def tag(self) -> ReconciliationTag:
+        # a non-finite value is within no tolerance of anything: a mismatch
+        if abs(self.value - self.pipeline_rate) <= _RECONCILE_TOL:
+            return ReconciliationTag.IDENTICAL
+        if abs(self.value - (self.pipeline_rate - 1.0)) <= _RECONCILE_TOL:
+            return ReconciliationTag.OFFSET_BY_ONE
+        return ReconciliationTag.MISMATCH
 
 
 def solve_h_pair(lambda_s: complex, lambda_l: complex) -> float:
@@ -113,10 +125,9 @@ def solve_h_pair(lambda_s: complex, lambda_l: complex) -> float:
     return 2.0 * (lambda_l.real - lambda_s.real) / den
 
 
-def _on_slow_mode(h: float, pair: ExtremalPair, method: DesignMethod) -> ConsensusDesign:
+def _on_slow_mode(h: float, lam_s, lam_l, method: DesignMethod) -> ConsensusDesign:
     """Design with gamma = |1 - h*lambda_s| measured on the pair's slow mode."""
-    gamma = abs(1.0 - h * pair.lambda_s.value)
-    return ConsensusDesign(h=h, gamma=gamma, rate=1.0 - gamma, method=method, extremal=pair)
+    return ConsensusDesign(h, abs(1.0 - h * lam_s.value), method, lam_s, lam_l)
 
 
 def design_pipeline(model: NetworkModel) -> ConsensusDesign:
@@ -124,9 +135,9 @@ def design_pipeline(model: NetworkModel) -> ConsensusDesign:
 
     This is the reference every closed-form entry is checked against.
     """
-    pair = factor_extremal_pair(model)
-    h = solve_h_pair(pair.lambda_s.value, pair.lambda_l.value)
-    return _on_slow_mode(h, pair, DesignMethod.PAIR_SOLVE)
+    lam_s, lam_l = factor_extremal_pair(model)
+    h = solve_h_pair(lam_s.value, lam_l.value)
+    return _on_slow_mode(h, lam_s, lam_l, DesignMethod.PAIR_SOLVE)
 
 
 # --- closed-form catalog ------------------------------------------------------
@@ -384,21 +395,6 @@ def closed_form_h(model: NetworkModel) -> float:
     return h_entry(*args)
 
 
-_RECONCILE_TOL = 1e-9
-
-
-def _reconcile(printed: float, pipeline_rate: float, case: str) -> ReconciledRate:
-    if math.isnan(printed) or math.isinf(printed):
-        tag = ReconciliationTag.MISMATCH
-    elif abs(printed - pipeline_rate) <= _RECONCILE_TOL:
-        tag = ReconciliationTag.IDENTICAL
-    elif abs(printed - (pipeline_rate - 1.0)) <= _RECONCILE_TOL:
-        tag = ReconciliationTag.OFFSET_BY_ONE
-    else:
-        tag = ReconciliationTag.MISMATCH
-    return ReconciledRate(value=printed, tag=tag, pipeline_rate=pipeline_rate, case=case)
-
-
 def closed_form_R(model: NetworkModel) -> ReconciledRate:
     """Catalog rate value plus its reconciliation against the pipeline.
 
@@ -411,10 +407,12 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
     # before an entry is evaluated outside its domain
     pipeline = design_pipeline(model)
     if R_entry is None:
-        printed = _on_slow_mode(h_entry(*args), pipeline.extremal, DesignMethod.CLOSED_FORM).rate
+        printed = _on_slow_mode(
+            h_entry(*args), pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM
+        ).rate
     else:
         printed = R_entry(*args)
-    return _reconcile(printed, pipeline.rate, case)
+    return ReconciledRate(printed, pipeline.rate, case)
 
 
 def closed_design(model: NetworkModel) -> ConsensusDesign:
@@ -424,7 +422,7 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     deviating catalog entry shows up as a gamma unlike the pipeline's.
     """
     h = closed_form_h(model)
-    return _on_slow_mode(h, factor_extremal_pair(model), DesignMethod.CLOSED_FORM)
+    return _on_slow_mode(h, *factor_extremal_pair(model), DesignMethod.CLOSED_FORM)
 
 
 def _convex_hull(z: np.ndarray) -> np.ndarray:
@@ -533,10 +531,8 @@ def _minimax(model: NetworkModel) -> ConsensusDesign:
     try:
         pair = factor_extremal_pair(model)
     except DegenerateError:
-        pair = None
-    return ConsensusDesign(
-        h=h, gamma=gamma, rate=1.0 - gamma, method=DesignMethod.MINIMAX, extremal=pair
-    )
+        pair = (None, None)
+    return ConsensusDesign(h, gamma, DesignMethod.MINIMAX, *pair)
 
 
 def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
@@ -559,8 +555,9 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
 
     Only ``spectrum.model`` is read, not the values or the source: the
     hull vertices come from the model's closed-form per-dimension
-    factors.  The ``extremal`` field is the model's closed-form pair
-    (``factor_extremal_pair``); None when the pair is degenerate.
+    factors.  The ``lambda_s`` and ``lambda_l`` fields are the model's
+    closed-form pair (``factor_extremal_pair``); both None when the pair
+    is degenerate.
     """
     return _minimax(spectrum.model)
 
@@ -600,8 +597,8 @@ def design_export_dict(
         "gamma": design.gamma,
         "rate": design.rate,
         "method": design.method.value,
-        "lambda_s": ev_dict(design.extremal.lambda_s if design.extremal else None),
-        "lambda_l": ev_dict(design.extremal.lambda_l if design.extremal else None),
+        "lambda_s": ev_dict(design.lambda_s),
+        "lambda_l": ev_dict(design.lambda_l),
         "reconciliation": rec,
         "assumptions": list(ASSUMPTION_NOTES),
     }

@@ -51,17 +51,24 @@ DEFAULT_WINDOW = 50
 class SimulationTrace:
     """Per-step record of one consensus run.
 
-    error_norms and averages have steps + 1 entries (state 0 through
-    the final state); empirical_factor is the late-window geometric
-    mean of successive error-norm ratios, 0.0 when the trace is too
-    short or ends at exact zero error.
+    error_norms and averages hold state 0 through the final state.  Two
+    attributes are derived from error_norms: ``steps``, one less than
+    its length, and ``empirical_factor``, the geometric mean of
+    successive error-norm ratios over the last ``DEFAULT_WINDOW`` steps,
+    0.0 when the trace is too short or ends at exact zero error.
     """
 
-    steps: int
     error_norms: np.ndarray
     averages: np.ndarray
-    empirical_factor: float
     converged: bool
+
+    @property
+    def steps(self) -> int:
+        return len(self.error_norms) - 1
+
+    @property
+    def empirical_factor(self) -> float:
+        return _late_window_factor(self.error_norms, DEFAULT_WINDOW)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -91,10 +98,13 @@ def uniform_vector(seed: int, size: int) -> np.ndarray:
 
     Bit-identical to drawing ``size`` values from ``splitmix64(seed)``:
     the k-th state is seed + k * gamma, and uint64 arrays wrap modulo
-    2**64 exactly as the masked scalar arithmetic does.
+    2**64 exactly as the masked scalar arithmetic does.  Raises
+    ParameterError unless seed is an integer and size a non-negative one.
     """
+    if not (_is_int(seed) and _is_int(size) and size >= 0):
+        raise ParameterError(f"need an integer seed and an integer size >= 0, got {seed!r}, {size!r}")
     k = np.arange(1, size + 1, dtype=np.uint64)
-    z = k * np.uint64(_GOLDEN_GAMMA) + np.uint64(seed & _MASK64)
+    z = k * np.uint64(_GOLDEN_GAMMA) + np.uint64(int(seed) & _MASK64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     z = z ^ (z >> np.uint64(31))
@@ -230,8 +240,9 @@ def run_consensus(
 
     The default structured step is O(n); the ``dense=True`` step reads
     L's k nonzeros per row, O(n k), and is a cross-check that shares no
-    kernel with it.  Neither has a size cap.  The empirical factor is
-    taken over the last ``DEFAULT_WINDOW`` steps.
+    kernel with it.  Neither has a size cap.  The trace derives its
+    step count and its empirical factor, taken over the last
+    ``DEFAULT_WINDOW`` steps, from its error norms.
 
     Raises DivergenceError once the error norm passes 1e6 times its
     initial value or turns NaN, which signals a non-contracting weight
@@ -297,14 +308,7 @@ def run_consensus(
             if err <= tolerance:
                 converged = True
 
-    error_norms = np.array(errors)
-    return SimulationTrace(
-        steps=steps,
-        error_norms=error_norms,
-        averages=np.array(averages),
-        empirical_factor=_late_window_factor(error_norms, DEFAULT_WINDOW),
-        converged=converged,
-    )
+    return SimulationTrace(np.array(errors), np.array(averages), converged)
 
 
 def _late_window_factor(error_norms: np.ndarray, window: int) -> float:

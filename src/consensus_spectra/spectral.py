@@ -12,8 +12,10 @@ grid.
 
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index.  Every design reads one extremal pair,
-``factor_extremal_pair``: lambda_s is the nonzero eigenvalue of minimum
-real part, lambda_l the eigenvalue of maximum real part, a real-part tie
+``factor_extremal_pair``, a tuple (lambda_s, lambda_l); a
+``ComplexEigenvalue`` stores re, im and index, and derives ``value``
+and ``modulus_sq``.  lambda_s is the nonzero eigenvalue of minimum real
+part, lambda_l the eigenvalue of maximum real part, a real-part tie
 (within 1e-9) goes to the largest |imaginary part| (within 1e-9) and
 then to the smallest flat index.  It reads the closed-form
 per-dimension factors without building the N eigenvalues.  Closed-form
@@ -73,14 +75,6 @@ class Spectrum:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class ExtremalPair:
-    """The design's second-smallest and largest eigenvalues."""
-
-    lambda_s: ComplexEigenvalue
-    lambda_l: ComplexEigenvalue
 
 
 def circulant_spectrum(row: np.ndarray) -> np.ndarray:
@@ -218,9 +212,9 @@ def _pick(side: tuple, a: float) -> ComplexEigenvalue:
     return ComplexEigenvalue(re=re, im=float(ims[k]), index=index)
 
 
-def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
-    """The design's extremal pair, from the closed-form per-dimension
-    factors alone: O(sum of the sides), not O(N).
+def factor_extremal_pair(model: NetworkModel) -> tuple[ComplexEigenvalue, ComplexEigenvalue]:
+    """The design's extremal pair (lambda_s, lambda_l), from the
+    closed-form per-dimension factors alone: O(sum of the sides), not O(N).
 
     lambda_s is the nonzero eigenvalue of minimum real part, lambda_l the
     eigenvalue of maximum real part.  A real-part tie (within 1e-9) goes
@@ -241,7 +235,7 @@ def factor_extremal_pair(model: NetworkModel) -> ExtremalPair:
             f"extremal eigenvalues have equal moduli (|l_s|^2 = {lam_s.modulus_sq!r}, "
             f"|l_l|^2 = {lam_l.modulus_sq!r}); no nonzero consensus parameter exists"
         )
-    return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
+    return lam_s, lam_l
 
 
 # --- export -------------------------------------------------------------------

@@ -57,11 +57,15 @@ def _normalised(n, r, dims, a) -> dict:
     # sizes are stored as Python ints in a tuple, and a real a that is not
     # a bool as the Python float it equals (adding 0.0 turns -0.0 into
     # 0.0), so numpy values print, export and compare like Python ones;
+    # a real beyond the float range becomes the infinity of its sign, and
     # other values are left for validate to reject
     if dims is not None:
         dims = tuple(_as_int(k) for k in dims)
     if type(a) is float or (isinstance(a, numbers.Real) and not isinstance(a, bool)):
-        a = float(a) + 0.0
+        try:
+            a = float(a) + 0.0
+        except OverflowError:
+            a = math.inf if a > 0 else -math.inf
     return {"n": _as_int(n), "r": _as_int(r), "dims": dims, "a": a}
 
 

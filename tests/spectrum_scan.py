@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from consensus_spectra import ComplexEigenvalue, DegenerateError, ExtremalPair
+from consensus_spectra import ComplexEigenvalue, DegenerateError
 
 RE_TIE_TOL = 1e-9
 MODULUS_TOL = 1e-12
@@ -27,7 +27,7 @@ def eigenvalue(spectrum, pos: int) -> ComplexEigenvalue:
     return ComplexEigenvalue(re=float(v.real), im=float(v.imag), index=index)
 
 
-def extremal_pair(spectrum) -> ExtremalPair:
+def extremal_pair(spectrum) -> tuple[ComplexEigenvalue, ComplexEigenvalue]:
     values = spectrum.values
     if len(values) < 2:
         raise DegenerateError("spectrum has no nonzero eigenvalue")
@@ -45,4 +45,4 @@ def extremal_pair(spectrum) -> ExtremalPair:
     lam_l = eigenvalue(spectrum, pick(re >= re.max() - RE_TIE_TOL))
     if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= MODULUS_TOL * max(1.0, lam_l.modulus_sq):
         raise DegenerateError("extremal eigenvalues have equal moduli")
-    return ExtremalPair(lambda_s=lam_s, lambda_l=lam_l)
+    return lam_s, lam_l

@@ -106,6 +106,150 @@ class TestDesignCommand:
         assert parse_model(printed) == parse_model("rnearest:n=12,r=3,a=0.25")
 
 
+# the stdout of each command, recorded before ConsensusDesign,
+# ReconciledRate and SimulationTrace derived their rate, tag, steps and
+# empirical factor
+GOLDEN = {
+    "design-rnearest": (
+        ("design", "--model", "rnearest:n=12,r=3,a=0.25"),
+        """\
+{
+  "model": "rnearest:n=12,r=3,a=0.25",
+  "h": 0.35936677061567657,
+  "gamma": 0.4643188962934802,
+  "rate": 0.5356811037065198,
+  "method": "PairSolve",
+  "lambda_s": {
+    "index": [
+      1
+    ],
+    "re": 1.6339745962155612,
+    "im": 0.5915063509461096
+  },
+  "lambda_l": {
+    "index": [
+      2
+    ],
+    "re": 3.9999999999999996,
+    "im": 0.43301270189221935
+  },
+  "reconciliation": {
+    "value": 0.32856748110561695,
+    "tag": "Mismatch",
+    "pipeline_rate": 0.5356811037065198,
+    "case": "rnearest-even"
+  },
+  "assumptions": [
+    "r-nearest closed forms read the squared asymmetry coefficient as a**2",
+    "odd-odd torus closed form keeps its literal 0.16 coefficients"
+  ]
+}
+""",
+    ),
+    "design-minimax-degenerate-pair": (
+        ("design", "--model", "ring:n=3,a=0.3", "--method", "minimax"),
+        """\
+{
+  "model": "ring:n=3,a=0.3",
+  "h": 0.6472491909385114,
+  "gamma": 0.17066403719657233,
+  "rate": 0.8293359628034277,
+  "method": "Minimax",
+  "lambda_s": null,
+  "lambda_l": null,
+  "reconciliation": null,
+  "assumptions": [
+    "r-nearest closed forms read the squared asymmetry coefficient as a**2",
+    "odd-odd torus closed form keeps its literal 0.16 coefficients"
+  ]
+}
+""",
+    ),
+    "design-all-odd-torus": (
+        ("design", "--model", "torus:dims=3x3x5,a=0.3"),
+        """\
+{
+  "model": "torus:dims=3x3x5,a=0.3",
+  "h": 0.3572801488114595,
+  "gamma": 0.759993009873997,
+  "rate": 0.24000699012600302,
+  "method": "PairSolve",
+  "lambda_s": {
+    "index": [
+      0,
+      0,
+      1
+    ],
+    "re": 0.6909830056250525,
+    "im": 0.285316954888546
+  },
+  "lambda_l": {
+    "index": [
+      1,
+      1,
+      2
+    ],
+    "re": 4.809016994374947,
+    "im": 0.6959508179584052
+  },
+  "reconciliation": {
+    "value": 0.5304254775993934,
+    "tag": "Mismatch",
+    "pipeline_rate": 0.24000699012600302,
+    "case": "torusN-odd"
+  },
+  "assumptions": [
+    "r-nearest closed forms read the squared asymmetry coefficient as a**2",
+    "odd-odd torus closed form keeps its literal 0.16 coefficients"
+  ]
+}
+""",
+    ),
+    "simulate-json": (
+        ("simulate", "--model", "ring:n=64,a=0.3", "--steps", "40", "--format", "json"),
+        """\
+{
+  "model": "ring:n=64,a=0.3",
+  "h": 0.9978138404008333,
+  "steps": 40,
+  "converged": false,
+  "empirical_factor": 0.9619217370320226,
+  "final_error": 0.49323789533467094
+}
+""",
+    ),
+    "verify": (
+        ("verify", "--model", "torus:dims=4x5,a=0.3", "--trials", "2"),
+        """\
+[
+  {
+    "trial": 0,
+    "seed": 42,
+    "empirical_factor": 0.7034000422133042,
+    "gamma": 0.7033998086284735,
+    "pass": true,
+    "note": ""
+  },
+  {
+    "trial": 1,
+    "seed": 43,
+    "empirical_factor": 0.7033995333927603,
+    "gamma": 0.7033998086284735,
+    "pass": true,
+    "note": ""
+  }
+]
+""",
+    ),
+}
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_stdout_bytes(self, capsys, name):
+        argv, expected = GOLDEN[name]
+        assert invoke(capsys, *argv) == (0, expected, "")
+
+
 def strict_json(text):
     """Parse JSON, rejecting the NaN, Infinity and -Infinity tokens
     that json.dumps writes by default but JSON does not allow."""
@@ -164,7 +308,7 @@ class TestStrictJson:
         # divisor and a positive numerator would give it
         def infinite(model):
             design = closed_design(model)
-            return dataclasses.replace(design, h=math.inf, gamma=math.inf, rate=-math.inf)
+            return dataclasses.replace(design, h=math.inf, gamma=math.inf)
 
         monkeypatch.setitem(design_mod.DESIGN_METHODS, "closed", infinite)
         code, out, _ = invoke(capsys, "design", "--model", "ring:n=8,a=0.3", "--method", "closed")

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from consensus_spectra import (
     DegenerateError,
     DesignMethod,
+    ReconciledRate,
     ReconciliationTag,
     SpectrumSource,
     UnsupportedParityError,
@@ -50,7 +51,6 @@ from consensus_spectra.design import (
     _R_torus2_odd,
     _R_torusN_even,
     _divide,
-    _reconcile,
     formula_case,
 )
 from conftest import A_GRID, grid_models, ring_models, rnearest_models, torus_models
@@ -112,7 +112,7 @@ class TestDesignPipeline:
         for a in A_GRID:
             for model in (ring(10, a), r_nearest_ring(12, 2, a), torus((4, 5), a)):
                 d = design_pipeline(model)
-                ls, ll = d.extremal.lambda_s.value, d.extremal.lambda_l.value
+                ls, ll = d.lambda_s.value, d.lambda_l.value
                 assert abs(1 - d.h * ls) == pytest.approx(abs(1 - d.h * ll), abs=1e-9)
 
     def test_degenerate_propagates(self):
@@ -126,15 +126,15 @@ class TestDesignPipeline:
                 d = design_pipeline(model)
             except DegenerateError:
                 continue
-            oracle = extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))
-            h = solve_h_pair(oracle.lambda_s.value, oracle.lambda_l.value)
+            lam_s, lam_l = extremal_pair(full_spectrum(model, SpectrumSource.DFT_ORACLE))
+            h = solve_h_pair(lam_s.value, lam_l.value)
             assert d.h == pytest.approx(h, abs=1e-10), model
 
     def test_symmetric_reduction_formula(self):
         # at a = 0 the pair solution collapses to 2 / (l_s + l_l)
         for model in (ring(12, 0.0), r_nearest_ring(16, 3, 0.0), torus((4, 6), 0.0)):
             d = design_pipeline(model)
-            expected = 2.0 / (d.extremal.lambda_s.re + d.extremal.lambda_l.re)
+            expected = 2.0 / (d.lambda_s.re + d.lambda_l.re)
             assert d.h == pytest.approx(expected, abs=1e-12)
 
 
@@ -215,7 +215,7 @@ class TestClosedFormR:
         # pipeline rate minus one on an even ring
         printed = _R_torusN_even(4, 1, 0.0)
         assert printed == pytest.approx(-1 / 3, abs=1e-12)
-        rec = _reconcile(printed, design_pipeline(ring(4, 0.0)).rate, "torusN-even")
+        rec = ReconciledRate(printed, design_pipeline(ring(4, 0.0)).rate, "torusN-even")
         assert rec.tag is ReconciliationTag.OFFSET_BY_ONE
 
     def test_ring_odd_identical(self):
@@ -243,7 +243,7 @@ class TestClosedFormR:
         model = torus((5, 5, 5), 0.2)
         rec = closed_form_R(model)
         h = _h_torusN_odd((5, 5, 5), 0.2)
-        lam_s = extremal_pair(full_spectrum(model)).lambda_s.value
+        lam_s = extremal_pair(full_spectrum(model))[0].value
         assert rec.value == pytest.approx(1.0 - abs(1.0 - h * lam_s), abs=1e-12)
         assert rec.case == "torusN-odd"
 
@@ -276,11 +276,11 @@ class TestPerModelSummary:
             designs.setdefault(source, minimax_h(spectra[source]))
         pairs = {source: repr(extremal_pair(spectrum)) for source, spectrum in spectra.items()}
         assert pairs[SpectrumSource.CLOSED_FORM] != pairs[SpectrumSource.DFT_ORACLE]
-        pair = repr(design_pipeline(model).extremal)
+        d = design_pipeline(model)
+        pair = repr((d.lambda_s, d.lambda_l))
         assert pair == pairs[SpectrumSource.CLOSED_FORM]
-        for d in designs.values():
-            assert repr(d.extremal) == pair
-        assert repr(closed_design(model).extremal) == pair
+        for d in [*designs.values(), closed_design(model)]:
+            assert repr((d.lambda_s, d.lambda_l)) == pair
 
     def test_degenerate_model_raises_on_every_call(self):
         for _ in range(3):
@@ -328,7 +328,7 @@ class TestScaleGuard:
             peak = tracemalloc.get_traced_memory()[1]
             print(json.dumps({"seconds": seconds, "peak": peak, "rate": d.rate,
                               "pipeline_rate": rec.pipeline_rate,
-                              "lambda_s": d.extremal.lambda_s.index}))
+                              "lambda_s": d.lambda_s.index}))
             """
         )
         assert out["seconds"] < 0.25
@@ -407,7 +407,7 @@ CATALOG_WIRING = [
 
 def _torusN_odd_rate(dims, dims_largest_first):
     # no catalogued rate: the entry's h measured on the pipeline's slow mode
-    lam_s = design_pipeline(torus(dims, A)).extremal.lambda_s.value
+    lam_s = design_pipeline(torus(dims, A)).lambda_s.value
     return 1.0 - abs(1.0 - _h_torusN_odd(dims_largest_first, A) * lam_s)
 
 
@@ -500,7 +500,7 @@ class TestMinimax:
         # best constant
         d = minimax_h(full_spectrum(ring(3, 0.5)))
         assert 0 < d.gamma < 1
-        assert d.extremal is None
+        assert (d.lambda_s, d.lambda_l) == (None, None)
 
     def test_gamma_is_true_worst_modulus(self):
         for model in (ring(10, 0.6), r_nearest_ring(12, 3, 0.4), torus((4, 5), 0.8)):
@@ -563,12 +563,13 @@ class TestMinimaxProperties:
         hs = np.linspace(0, 2.0 / nz.real.max(), 4001)
         scan = np.min(np.max(np.abs(1 - hs[:, None] * nz[None, :]), axis=1))
         assert d.gamma <= scan + 1e-12
-        # the extremal field is the pair the full-spectrum scan selects
+        # the lambda_s and lambda_l fields are the pair the full-spectrum
+        # scan selects
         try:
             pair = extremal_pair(spectrum)
         except DegenerateError:
-            pair = None
-        assert repr(d.extremal) == repr(pair)
+            pair = (None, None)
+        assert repr((d.lambda_s, d.lambda_l)) == repr(pair)
         # KKT certificate: 0 lies in the hull of the active subgradients
         # d|1 - h*l|/dh = (h|l|^2 - Re l) / |1 - h*l|
         active = moduli >= d.gamma - 1e-12
@@ -709,8 +710,8 @@ class TestLargeTorus:
         h_expected = solve_h_pair(lam_s, lam_l)
         assert d.h == pytest.approx(h_expected, abs=1e-12)
         assert d.gamma == pytest.approx(abs(1 - h_expected * lam_s), abs=1e-12)
-        assert d.extremal.lambda_s.index == (0, 0, 0, 0, 1)
-        assert d.extremal.lambda_l.index == (5, 7, 10, 12, 13)
+        assert d.lambda_s.index == (0, 0, 0, 0, 1)
+        assert d.lambda_l.index == (5, 7, 10, 12, 13)
 
 
 class TestExportDict:
@@ -726,5 +727,5 @@ class TestExportDict:
     def test_closed_design_carries_pair(self):
         d = closed_design(torus((4, 4), 0.3))
         assert d.method is DesignMethod.CLOSED_FORM
-        assert d.extremal is not None
+        assert d.lambda_s is not None and d.lambda_l is not None
         assert d.gamma == pytest.approx(design_pipeline(torus((4, 4), 0.3)).gamma, abs=1e-9)

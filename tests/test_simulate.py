@@ -71,6 +71,21 @@ class TestSplitmix:
     def test_uniform_vector_matches_scalar_stream_any_seed(self, seed):
         assert np.array_equal(uniform_vector(seed, 64), scalar_uniform_stream(seed, 64))
 
+    @pytest.mark.parametrize(
+        "seed, size",
+        [(1, 2.5), (1, -3), (1, True), (1.5, 3)],
+        ids=["fractional-size", "negative-size", "bool-size", "fractional-seed"],
+    )
+    def test_uniform_vector_rejects_bad_inputs(self, seed, size):
+        with pytest.raises(ParameterError, match="^need an integer seed and an integer size >= 0"):
+            uniform_vector(seed, size)
+
+    def test_uniform_vector_takes_numpy_integers(self):
+        # the bits of the Python ints they equal
+        for seed in (3, -3, 2**63 - 1):
+            got = uniform_vector(np.int64(seed), np.int64(16))
+            assert np.array_equal(got, scalar_uniform_stream(seed, 16))
+
 
 def _apply_models():
     # unequal sides in both orders and tori of 3 to 5 axes: a wrong stride
@@ -516,7 +531,9 @@ class TestVerifyConsensus:
     def test_bad_h_recorded_as_failure(self):
         model = ring(8, 0.0)
         design = design_pipeline(model)
-        bad = type(design)(h=2.0, gamma=3.0, rate=-2.0, method=design.method, extremal=design.extremal)
+        bad = type(design)(
+            h=2.0, gamma=3.0, method=design.method, lambda_s=design.lambda_s, lambda_l=design.lambda_l
+        )
         report = verify_consensus(model, bad, trials=1, seed=3)
         assert len(report) == 1
         assert not report[0].passed
@@ -677,7 +694,7 @@ class TestReportExport:
     def test_inf_design_writes_null(self):
         # the slow-mode design at h = inf: gamma = |1 - inf * lambda_s|
         model = r_nearest_ring(6, 2, 0.0)
-        design = dataclasses.replace(closed_design(model), h=math.inf, gamma=math.inf, rate=-math.inf)
+        design = dataclasses.replace(closed_design(model), h=math.inf, gamma=math.inf)
         (record,) = strict_json(report_to_json(verify_consensus(model, design, 1, 0)))
         assert (record["gamma"], record["empirical_factor"], record["pass"]) == (None, None, False)
         assert record["note"] == "non-finite design: h=inf"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,6 +61,14 @@ class TestValidate:
     def test_a_out_of_range(self, a):
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):
             validate(NetworkModel(Kind.RING, a=a, n=4))
+
+    @pytest.mark.parametrize(
+        "a", [10**400, Fraction(10**400, 3), -(10**400)], ids=["int", "fraction", "negative-int"]
+    )
+    def test_a_beyond_the_float_range(self, a):
+        # stored as the infinity of its sign, which the one a rule rejects
+        with pytest.raises(ParameterError, match="^asymmetric factor a must be a finite real"):
+            ring(4, a)
 
     def test_complete_graph_rejected_with_hint(self):
         # n = 2r + 1 makes every node adjacent to every other
