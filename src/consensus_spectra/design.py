@@ -11,8 +11,10 @@ no full spectrum is built).  It then solves
     |1 - h*lambda_s| = |1 - h*lambda_l|
 
 for the single nonzero real h, and reports the convergence factor
-gamma = |1 - h*lambda_s|.  A ``ConsensusDesign`` stores h, gamma, the
-method and the pair it read; its ``rate`` R = 1 - gamma is derived.
+gamma = |1 - h*lambda_s|.  Only that solve (``solve_h_pair``) refuses a
+model, when the pair's moduli coincide (the 3-node ring).  A
+``ConsensusDesign`` stores h, gamma, the method and the model's pair;
+its ``rate`` R = 1 - gamma is derived.
 
 A catalog of closed-form expressions covers each topology/parity case
 (even/odd ring, even-even/odd-odd torus, all-even/all-odd m-torus,
@@ -33,8 +35,9 @@ are selected once per topology, and a model's a only picks among them.
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
 is attained on the vertices of the spectrum's convex hull, built from
 the per-dimension factor hulls, and the minimizing h is an active
-vertex's own minimizer or the crossing of two active vertices.  It too
-reads only the model's closed-form per-dimension factors:
+vertex's own minimizer or the crossing of two active vertices; it
+exists for every model.  It too reads only the model's closed-form
+per-dimension factors:
 ``minimax_h(spectrum)`` takes the spectrum's model, not its values or
 source, and no design route builds a full spectrum.
 """
@@ -73,13 +76,13 @@ class ReconciliationTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ConsensusDesign:
-    """h, gamma, the method and the pair it read (None, None if degenerate)."""
+    """h, gamma, the method and the model's extremal pair."""
 
     h: float
     gamma: float
     method: DesignMethod
-    lambda_s: ComplexEigenvalue | None
-    lambda_l: ComplexEigenvalue | None
+    lambda_s: ComplexEigenvalue
+    lambda_l: ComplexEigenvalue
 
     @property
     def rate(self) -> float:
@@ -418,11 +421,14 @@ def closed_form_R(model: NetworkModel) -> ReconciledRate:
 def closed_design(model: NetworkModel) -> ConsensusDesign:
     """Design built from the catalog h, measured on the slow mode.
 
-    gamma is |1 - h*lambda_s| with the canonical extremal pair, so a
+    gamma is |1 - h*lambda_s| with the pipeline's extremal pair, so a
     deviating catalog entry shows up as a gamma unlike the pipeline's.
+    The pipeline runs first, as in ``closed_form_R``, so the 3-node ring,
+    where the odd-ring entry is 0/0, raises DegenerateError.
     """
+    pipeline = design_pipeline(model)
     h = closed_form_h(model)
-    return _on_slow_mode(h, *factor_extremal_pair(model), DesignMethod.CLOSED_FORM)
+    return _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM)
 
 
 def _convex_hull(z: np.ndarray) -> np.ndarray:
@@ -506,8 +512,6 @@ def _minimax(model: NetworkModel) -> ConsensusDesign:
     per-dimension factors: O(sum of the sides), not O(N)."""
     z = _hull_candidates(model)
     z = z[_convex_hull(z)]
-    if not np.any(np.abs(z - z[0]) > 1e-12):
-        raise DegenerateError("need at least two distinct nonzero eigenvalues")
     re = z.real
     msq = re * re + z.imag * z.imag
     dual = msq - 2j * re
@@ -528,11 +532,7 @@ def _minimax(model: NetworkModel) -> ConsensusDesign:
     if k and cross[k - 1] > h:
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
-    try:
-        pair = factor_extremal_pair(model)
-    except DegenerateError:
-        pair = (None, None)
-    return ConsensusDesign(h, gamma, DesignMethod.MINIMAX, *pair)
+    return ConsensusDesign(h, gamma, DesignMethod.MINIMAX, *factor_extremal_pair(model))
 
 
 def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
@@ -556,8 +556,8 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     Only ``spectrum.model`` is read, not the values or the source: the
     hull vertices come from the model's closed-form per-dimension
     factors.  The ``lambda_s`` and ``lambda_l`` fields are the model's
-    closed-form pair (``factor_extremal_pair``); both None when the pair
-    is degenerate.
+    closed-form pair (``factor_extremal_pair``), also where their moduli
+    coincide and no pair design exists (the 3-node ring).
     """
     return _minimax(spectrum.model)
 
@@ -578,9 +578,7 @@ def design_export_dict(
 ) -> dict:
     """JSON-ready summary including the catalog caveats."""
 
-    def ev_dict(ev: ComplexEigenvalue | None):
-        if ev is None:
-            return None
+    def ev_dict(ev: ComplexEigenvalue):
         return {"index": list(ev.index), "re": ev.re, "im": ev.im}
 
     rec = None

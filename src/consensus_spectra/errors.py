@@ -10,9 +10,9 @@ class ParameterError(ConsensusSpectraError):
 
 
 class DegenerateError(ConsensusSpectraError):
-    """The extremal eigenvalue pair has equal moduli, so the
-    equal-modulus equation for the consensus parameter has no nonzero
-    solution (e.g. the 3-node ring)."""
+    """The extremal pair has equal moduli, so the equal-modulus equation
+    for h has no nonzero solution (e.g. the 3-node ring).  Only
+    ``design.solve_h_pair`` raises it; minimax solves every model."""
 
 
 class UnsupportedParityError(ConsensusSpectraError):

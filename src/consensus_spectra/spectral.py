@@ -13,12 +13,12 @@ grid.
 Eigenvalues are indexed, not sorted: the consensus eigenvalue is the
 all-zeros index.  Every design reads one extremal pair,
 ``factor_extremal_pair``, a tuple (lambda_s, lambda_l); a
-``ComplexEigenvalue`` stores re, im and index, and derives ``value``
-and ``modulus_sq``.  lambda_s is the nonzero eigenvalue of minimum real
-part, lambda_l the eigenvalue of maximum real part, a real-part tie
-(within 1e-9) goes to the largest |imaginary part| (within 1e-9) and
-then to the smallest flat index.  It reads the closed-form
-per-dimension factors without building the N eigenvalues.  Closed-form
+``ComplexEigenvalue`` stores re, im and index, and derives ``value``.
+lambda_s is the nonzero eigenvalue of minimum real part, lambda_l the
+eigenvalue of maximum real part, a real-part tie (within 1e-9) goes to
+the largest |imaginary part| (within 1e-9) and then to the smallest
+flat index.  It reads the closed-form per-dimension factors without
+building the N eigenvalues, and every model has a pair.  Closed-form
 real parts are independent of the asymmetric factor a, and each
 factor's imaginary part is a times an a-free sine sum, so the
 candidates for the pair are selected once per topology and a decides
@@ -35,7 +35,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DegenerateError, ParameterError
+from .errors import ParameterError
 from .topology import NetworkModel, factor_row, to_csv, to_json
 
 
@@ -53,10 +53,6 @@ class ComplexEigenvalue:
     @property
     def value(self) -> complex:
         return complex(self.re, self.im)
-
-    @property
-    def modulus_sq(self) -> float:
-        return self.re * self.re + self.im * self.im
 
 
 @dataclass(frozen=True)
@@ -139,7 +135,6 @@ def full_spectrum(
 
 
 _RE_TIE_TOL = 1e-9
-_MODULUS_TOL = 1e-12
 
 
 @lru_cache(maxsize=1024)
@@ -226,16 +221,10 @@ def factor_extremal_pair(model: NetworkModel) -> tuple[ComplexEigenvalue, Comple
     a-free real parts, once per topology; a enters only at the pick, in
     O(candidates).
 
-    Raises DegenerateError when the two moduli coincide, which makes the
-    equal-modulus equation for h unsolvable (3-node ring).
+    Every model has a pair, the 3-node ring's two equal index-1 members
+    included; only the equal-modulus solve ``design.solve_h_pair`` refuses.
     """
-    lam_s, lam_l = (_pick(side, model.a) for side in _closed_candidates(model.factors))
-    if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= _MODULUS_TOL * max(1.0, lam_l.modulus_sq):
-        raise DegenerateError(
-            f"extremal eigenvalues have equal moduli (|l_s|^2 = {lam_s.modulus_sq!r}, "
-            f"|l_l|^2 = {lam_l.modulus_sq!r}); no nonzero consensus parameter exists"
-        )
-    return lam_s, lam_l
+    return tuple(_pick(side, model.a) for side in _closed_candidates(model.factors))
 
 
 # --- export -------------------------------------------------------------------

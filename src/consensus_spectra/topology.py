@@ -267,11 +267,19 @@ def format_model(model: NetworkModel) -> str:
 
 # --- text output -------------------------------------------------------------
 # Every CSV and JSON text the package writes comes from to_csv or to_json.
-# A CSV cell is empty for None, the repr of a float and str() of anything else.
+# A CSV cell is empty for None, the repr of a float and str() of anything
+# else; text holding ';', '"' or a line break is quoted, its quotes doubled.
+
+_NEEDS_QUOTES = _re.compile(r'[;"\r\n]')
+
+
+def _text(v) -> str:
+    text = str(v)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
 
 
 def _cell(v) -> str:
-    return "" if v is None else float.__repr__(v) if isinstance(v, float) else str(v)
+    return "" if v is None else float.__repr__(v) if isinstance(v, float) else _text(v)
 
 
 def _cells(column):
@@ -280,7 +288,7 @@ def _cells(column):
     if types <= {float}:
         return map(float.__repr__, column)
     if types <= {int, str}:
-        return map(str, column)
+        return map(_text, column)
     return map(_cell, column)
 
 

@@ -11,6 +11,10 @@ A_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 
 TORUS_SIDES = (3, 4, 5, 8)
 
+# the 3-ring's pair has equal moduli at every a; these reach from exact
+# averaging (a = 0) through values too small to move its h to a = 1
+THREE_RING_A = (0.0, 1e-15, 1e-9, 0.3, 1.0)
+
 
 def ring_models(a: float):
     return [NetworkModel(Kind.RING, a=a, n=n) for n in range(3, 65)]

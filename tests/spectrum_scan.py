@@ -5,8 +5,8 @@ It reads a ``Spectrum``'s N values, from either route, in one O(N) pass.
 lambda_s is the nonzero eigenvalue of minimum real part, lambda_l the
 eigenvalue of maximum real part.  Real-part ties within 1e-9 are broken
 by the largest |imaginary part| (within the same 1e-9) and then by the
-smallest flat index.  A pair whose squared moduli agree within 1e-12
-(relative, floored at 1) raises DegenerateError (the 3-node ring).
+smallest flat index.  Every spectrum with a nonzero eigenvalue has a
+pair, even one whose members have equal moduli (the 3-node ring).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from consensus_spectra import ComplexEigenvalue, DegenerateError
 
 RE_TIE_TOL = 1e-9
-MODULUS_TOL = 1e-12
 
 
 def eigenvalue(spectrum, pos: int) -> ComplexEigenvalue:
@@ -43,6 +42,4 @@ def extremal_pair(spectrum) -> tuple[ComplexEigenvalue, ComplexEigenvalue]:
 
     lam_s = eigenvalue(spectrum, pick(re <= re.min() + RE_TIE_TOL))
     lam_l = eigenvalue(spectrum, pick(re >= re.max() - RE_TIE_TOL))
-    if abs(lam_l.modulus_sq - lam_s.modulus_sq) <= MODULUS_TOL * max(1.0, lam_l.modulus_sq):
-        raise DegenerateError("extremal eigenvalues have equal moduli")
     return lam_s, lam_l

@@ -1,5 +1,7 @@
 import ast
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -56,13 +58,16 @@ class TestDesignCommand:
         assert "UnsupportedParityError" in err
 
     def test_minimax_with_a_degenerate_pair(self, capsys):
-        # the 3-ring's pair has equal moduli, so neither the pair nor the
-        # catalog reconciliation exists; minimax still solves
+        # the 3-ring's pair has equal moduli, so neither the pair design nor
+        # the catalog reconciliation exists; minimax still solves and
+        # carries the pair
         code, out, _ = invoke(capsys, "design", "--model", "ring:n=3,a=0.3", "--method", "minimax")
         assert code == 0
         payload = json.loads(out)
         assert payload["method"] == "Minimax"
-        assert (payload["lambda_s"], payload["lambda_l"], payload["reconciliation"]) == (None, None, None)
+        assert payload["lambda_s"] == payload["lambda_l"]
+        assert payload["lambda_s"]["index"] == [1]
+        assert payload["reconciliation"] is None
         assert payload["h"] > 0
 
     def test_mixed_parity_has_no_reconciliation(self, capsys):
@@ -108,7 +113,8 @@ class TestDesignCommand:
 
 # the stdout of each command, recorded before ConsensusDesign,
 # ReconciledRate and SimulationTrace derived their rate, tag, steps and
-# empirical factor
+# empirical factor; the 3-ring minimax designs were recorded when every
+# design began to carry its model's pair
 GOLDEN = {
     "design-rnearest": (
         ("design", "--model", "rnearest:n=12,r=3,a=0.25"),
@@ -155,8 +161,51 @@ GOLDEN = {
   "gamma": 0.17066403719657233,
   "rate": 0.8293359628034277,
   "method": "Minimax",
-  "lambda_s": null,
-  "lambda_l": null,
+  "lambda_s": {
+    "index": [
+      1
+    ],
+    "re": 1.4999999999999998,
+    "im": 0.2598076211353316
+  },
+  "lambda_l": {
+    "index": [
+      1
+    ],
+    "re": 1.4999999999999998,
+    "im": 0.2598076211353316
+  },
+  "reconciliation": null,
+  "assumptions": [
+    "r-nearest closed forms read the squared asymmetry coefficient as a**2",
+    "odd-odd torus closed form keeps its literal 0.16 coefficients"
+  ]
+}
+""",
+    ),
+    "design-minimax-exact-averaging": (
+        ("design", "--model", "ring:n=3,a=0", "--method", "minimax"),
+        """\
+{
+  "model": "ring:n=3,a=0.0",
+  "h": 0.6666666666666667,
+  "gamma": 4.440892098500626e-16,
+  "rate": 0.9999999999999996,
+  "method": "Minimax",
+  "lambda_s": {
+    "index": [
+      1
+    ],
+    "re": 1.4999999999999998,
+    "im": 0.0
+  },
+  "lambda_l": {
+    "index": [
+      1
+    ],
+    "re": 1.4999999999999998,
+    "im": 0.0
+  },
   "reconciliation": null,
   "assumptions": [
     "r-nearest closed forms read the squared asymmetry coefficient as a**2",
@@ -356,6 +405,27 @@ class TestFormats:
         code, out, _ = invoke(capsys, "figure", "--id", "7", "--out", str(path), "--format", "json")
         assert (code, out) == (0, "")
         assert [strict_json(line)["kind"] for line in path.read_text().splitlines()] == ["ring"] * 62
+
+    @pytest.mark.parametrize(
+        "argv, quoted",
+        [
+            # each sweep's first row is an error row whose message holds a ";"
+            (["sweep", "--model", "ring:n=3,a=0", "--vary", "n=3,4"], True),
+            (["sweep", "--model", "rnearest:n=8,r=3,a=0", "--vary", "n=7,8"], True),
+            (["design", "--model", "ring:n=3,a=0", "--method", "minimax"], False),
+            *[
+                (["figure", "--id", str(i), "--method", method], False)
+                for i in FIGURES
+                for method in ("pipeline", "minimax")
+            ],
+        ],
+    )
+    def test_csv_reads_back_as_wide_as_its_header(self, capsys, argv, quoted):
+        code, out, _ = invoke(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out), delimiter=";")
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert any(";" in row[-1] for row in rows) == quoted
 
 
 class TestSpectrumCommand:

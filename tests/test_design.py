@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from consensus_spectra import (
     DegenerateError,
@@ -23,6 +23,7 @@ from consensus_spectra import (
     closed_form_h,
     design_export_dict,
     design_pipeline,
+    factor_extremal_pair,
     full_spectrum,
     minimax_h,
     parse_model,
@@ -53,7 +54,7 @@ from consensus_spectra.design import (
     _divide,
     formula_case,
 )
-from conftest import A_GRID, grid_models, ring_models, rnearest_models, torus_models
+from conftest import A_GRID, THREE_RING_A, grid_models, ring_models, rnearest_models, torus_models
 from spectrum_scan import extremal_pair
 
 
@@ -282,11 +283,12 @@ class TestPerModelSummary:
         for d in [*designs.values(), closed_design(model)]:
             assert repr((d.lambda_s, d.lambda_l)) == pair
 
-    def test_degenerate_model_raises_on_every_call(self):
+    @pytest.mark.parametrize("a", THREE_RING_A)
+    def test_degenerate_model_raises_on_every_call(self, a):
         for _ in range(3):
             for call in (design_pipeline, closed_form_R, closed_design):
                 with pytest.raises(DegenerateError):
-                    call(ring(3, 0.0))
+                    call(ring(3, a))
 
 
 def run_capped(body: str) -> dict:
@@ -491,16 +493,26 @@ class TestMinimax:
         assert d.gamma == pytest.approx(0.2, abs=1e-14)
         assert d.rate == pytest.approx(0.8, abs=1e-14)
 
-    def test_degenerate_spectrum_rejected(self):
-        with pytest.raises(DegenerateError):
-            minimax_h(full_spectrum(ring(3, 0.0)))
+    @pytest.mark.parametrize("a", THREE_RING_A)
+    def test_degenerate_pair_solved(self, a):
+        # the 3-ring's pair has equal moduli, which only the pair solve
+        # refuses; at a = 0, I - (2/3) L is exact averaging
+        model = ring(3, a)
+        d = minimax_h(full_spectrum(model))
+        assert (d.lambda_s, d.lambda_l) == factor_extremal_pair(model)
+        if a <= 1e-9:
+            assert abs(d.h - 2 / 3) <= 1e-9
+        if a == 0.0:
+            assert abs(d.h - 2 / 3) <= 1e-15
+            assert d.gamma <= 1e-15
 
     def test_works_where_pair_solve_cannot(self):
         # conjugate-only spectra have no pair solution but still admit a
-        # best constant
+        # best constant; the design carries the pair all the same
         d = minimax_h(full_spectrum(ring(3, 0.5)))
         assert 0 < d.gamma < 1
-        assert (d.lambda_s, d.lambda_l) == (None, None)
+        assert d.lambda_s == d.lambda_l
+        assert (d.lambda_s, d.lambda_l) == factor_extremal_pair(ring(3, 0.5))
 
     def test_gamma_is_true_worst_modulus(self):
         for model in (ring(10, 0.6), r_nearest_ring(12, 3, 0.4), torus((4, 5), 0.8)):
@@ -544,13 +556,11 @@ def _small_models():
 
 class TestMinimaxProperties:
     @given(_small_models())
+    @example(ring(3, 0.0))
     @settings(max_examples=150, deadline=None)
     def test_exact_minimax_over_the_whole_spectrum(self, model):
         spectrum = full_spectrum(model)
-        try:
-            d = minimax_h(spectrum)
-        except DegenerateError:
-            assume(False)
+        d = minimax_h(spectrum)
         nz = spectrum.values[1:]
         moduli = np.abs(1 - d.h * nz)
         # the hull vertices decide: gamma is the worst modulus over every
@@ -565,16 +575,17 @@ class TestMinimaxProperties:
         assert d.gamma <= scan + 1e-12
         # the lambda_s and lambda_l fields are the pair the full-spectrum
         # scan selects
-        try:
-            pair = extremal_pair(spectrum)
-        except DegenerateError:
-            pair = (None, None)
-        assert repr((d.lambda_s, d.lambda_l)) == repr(pair)
+        assert repr((d.lambda_s, d.lambda_l)) == repr(extremal_pair(spectrum))
         # KKT certificate: 0 lies in the hull of the active subgradients
-        # d|1 - h*l|/dh = (h|l|^2 - Re l) / |1 - h*l|
+        # d|1 - h*l|/dh = (h|l|^2 - Re l) / |1 - h*l|; where the modulus is
+        # exactly 0 its subgradients are an interval around 0, so the
+        # certificate holds there without a division
         active = moduli >= d.gamma - 1e-12
-        slopes = (d.h * np.abs(nz[active]) ** 2 - nz[active].real) / moduli[active]
-        assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
+        if np.any(moduli[active] == 0.0):
+            assert d.gamma <= 1e-12
+        else:
+            slopes = (d.h * np.abs(nz[active]) ** 2 - nz[active].real) / moduli[active]
+            assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
 
 
 HIGHER_TORUS_DIMS = ((3, 3, 3), (3, 4, 5), (5, 7, 9), (4, 4, 4, 4), (3, 3, 3, 3, 3))
@@ -582,14 +593,6 @@ HIGHER_TORUS_DIMS = ((3, 3, 3), (3, 4, 5), (5, 7, 9), (4, 4, 4, 4), (3, 3, 3, 3,
 
 def higher_tori(a: float):
     return [torus(dims, a) for dims in HIGHER_TORUS_DIMS]
-
-
-def outcome(call) -> str:
-    """repr of a design, every field bit for bit, or the error type."""
-    try:
-        return repr(call())
-    except DegenerateError:
-        return "DegenerateError"
 
 
 class TestMinimaxFromFactors:
@@ -605,15 +608,13 @@ class TestMinimaxFromFactors:
             for model in family(a):
                 spectrum = full_spectrum(model, source)
                 closed = full_spectrum(model)
-                got = {
-                    outcome(lambda: minimax_h(spectrum)),
-                    outcome(lambda: DESIGN_METHODS["minimax"](model)),
-                }
+                # repr compares every field bit for bit
+                got = {repr(minimax_h(spectrum)), repr(DESIGN_METHODS["minimax"](model))}
                 with monkeypatch.context() as mp:
                     # the reference: the same exact solve on the closed
                     # form's _convex_hull(values[1:])
                     mp.setattr(design, "_hull_candidates", lambda model: closed.values[1:])
-                    reference = outcome(lambda: minimax_h(closed))
+                    reference = repr(minimax_h(closed))
                 assert got == {reference}, model
 
     def test_reads_the_model_and_source_not_the_values(self):

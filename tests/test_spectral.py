@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from consensus_spectra import (
-    DegenerateError,
     Kind,
     ParameterError,
     SpectrumSource,
@@ -25,7 +24,7 @@ from consensus_spectra import (
 )
 from consensus_spectra import spectral
 from consensus_spectra.topology import factor_row
-from conftest import A_GRID, grid_models
+from conftest import A_GRID, THREE_RING_A, grid_models
 from spectrum_scan import eigenvalue, extremal_pair
 
 
@@ -173,8 +172,8 @@ class TestOracleFactors:
         pair = factor_extremal_pair(ring(9, 0.3))
         after = spectral._closed_candidates.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
-        assert pair_bits(lambda: pair) == pair_bits(lambda: first)
-        assert pair_bits(lambda: pair) == pair_bits(lambda: extremal_pair(full_spectrum(ring(9, 0.3))))
+        assert pair_bits(pair) == pair_bits(first)
+        assert pair_bits(pair) == pair_bits(extremal_pair(full_spectrum(ring(9, 0.3))))
 
 
 class TestFullSpectrum:
@@ -279,11 +278,13 @@ class TestExtremalPair:
         assert lam_s.index == (1,)
         assert lam_s.im > 0
 
-    def test_triangle_ring_degenerate(self):
-        with pytest.raises(DegenerateError):
-            factor_extremal_pair(ring(3, 0.0))
-        with pytest.raises(DegenerateError):
-            factor_extremal_pair(ring(3, 0.7))
+    @pytest.mark.parametrize("a", THREE_RING_A)
+    def test_triangle_ring_degenerate(self, a):
+        # both extremes are the index-1 eigenvalue, so the moduli coincide;
+        # the pair is still selected, and only the equal-modulus solve refuses it
+        lam_s, lam_l = factor_extremal_pair(ring(3, a))
+        assert lam_s == lam_l
+        assert lam_s.index == (1,)
 
     def test_lambda_l_dominates_real_part(self):
         for a in A_GRID:
@@ -293,13 +294,8 @@ class TestExtremalPair:
                 assert abs(lam_s.value) > 0
 
 
-def pair_bits(pair_of):
-    """(re, im, index) of both pair members with exact float bits, or the
-    DegenerateError the selection raised."""
-    try:
-        pair = pair_of()
-    except DegenerateError:
-        return "DegenerateError"
+def pair_bits(pair):
+    """(re, im, index) of both pair members with exact float bits."""
     return tuple((ev.re.hex(), ev.im.hex(), ev.index) for ev in pair)
 
 
@@ -307,9 +303,9 @@ def assert_pair_matches_the_scan(model, source=SpectrumSource.CLOSED_FORM):
     """The closed-form pair against the scan of ``source``'s spectrum: bit
     for bit on the closed form; on the DFT oracle, whose values differ in
     their last bits, the same indices with values within 1e-12."""
-    got = pair_bits(lambda: factor_extremal_pair(model))
-    want = pair_bits(lambda: extremal_pair(full_spectrum(model, source)))
-    if source is SpectrumSource.CLOSED_FORM or "DegenerateError" in (got, want):
+    got = pair_bits(factor_extremal_pair(model))
+    want = pair_bits(extremal_pair(full_spectrum(model, source)))
+    if source is SpectrumSource.CLOSED_FORM:
         assert got == want, model
         return
     for (re, im, index), (oracle_re, oracle_im, oracle_index) in zip(got, want):
@@ -344,9 +340,8 @@ class TestFactorExtremalPair:
     @given(tori_with_a_long_side())
     @settings(max_examples=60, deadline=None)
     def test_matches_the_scan_on_tori(self, model):
-        assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
-            lambda: extremal_pair(full_spectrum(model))
-        )
+        want = pair_bits(extremal_pair(full_spectrum(model)))
+        assert pair_bits(factor_extremal_pair(model)) == want
 
     @pytest.mark.parametrize("source", list(SpectrumSource))
     @pytest.mark.parametrize("a", [0.0, 0.3, 1.0])
@@ -395,8 +390,8 @@ class TestPickPerA:
     def test_every_a_matches_the_scan(self, topology):
         for a in TIE_A:
             model = dataclasses.replace(topology, a=a)
-            assert pair_bits(lambda: factor_extremal_pair(model)) == pair_bits(
-                lambda: extremal_pair(full_spectrum(model))
+            assert pair_bits(factor_extremal_pair(model)) == pair_bits(
+                extremal_pair(full_spectrum(model))
             ), a
 
     @given(topologies(), st.sampled_from(TIE_A), st.sampled_from(TIE_A))
@@ -404,10 +399,10 @@ class TestPickPerA:
     def test_warm_topology_at_a_second_a_equals_cold(self, topology, first, second):
         model = dataclasses.replace(topology, a=second)
         spectral._closed_candidates.cache_clear()
-        cold = pair_bits(lambda: factor_extremal_pair(model))
+        cold = pair_bits(factor_extremal_pair(model))
         spectral._closed_candidates.cache_clear()
-        pair_bits(lambda: factor_extremal_pair(dataclasses.replace(topology, a=first)))
-        assert pair_bits(lambda: factor_extremal_pair(model)) == cold
+        factor_extremal_pair(dataclasses.replace(topology, a=first))
+        assert pair_bits(factor_extremal_pair(model)) == cold
 
     def test_a_decides_the_tie_break(self):
         # ring(300_000) has lambda_s candidates j = 1, 2, n - 2, n - 1; at
