@@ -27,7 +27,7 @@ print(f"\npair-solve design: h = {pipeline.h:.12f}  (8/11 = {8/11:.12f})")
 print(f"                   gamma = {pipeline.gamma:.12f}  (5/11 = {5/11:.12f})")
 print(f"                   rate = {pipeline.rate:.12f}  (6/11 = {6/11:.12f})")
 
-print(f"\nclosed-form h: {cs.closed_form_h(model):.12f}")
+print(f"\nclosed-form h: {cs.closed_design(model).h:.12f}")
 reconciled = cs.closed_form_R(model)
 print(f"closed-form rate: {reconciled.value:.12f} [{reconciled.tag.value} vs pipeline]")
 

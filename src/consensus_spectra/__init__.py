@@ -23,7 +23,6 @@ from .design import (
     ReconciliationTag,
     closed_design,
     closed_form_R,
-    closed_form_h,
     design_export_dict,
     design_pipeline,
     minimax_h,

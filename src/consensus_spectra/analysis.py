@@ -2,9 +2,10 @@
 
 Every row carries both the model's rate and the rate of the symmetric
 (a = 0) model of identical topology; their difference is the absolute
-error introduced by ignoring link asymmetry.  Rates come from the
-canonical pipeline unless the caller switches the method, and rows are
-produced serially in deterministic grid order, so a dataset regenerates
+error introduced by ignoring link asymmetry.  Both rates come from the
+sweep's method (the canonical pipeline unless the caller switches it),
+so a solved a = 0 row has absolute error exactly 0.  Rows are produced
+serially in deterministic grid order, so a dataset regenerates
 bit-identically across runs.
 
 The standard figures are the entries of ``FIGURES``; each dataset's
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 
-from .design import DESIGN_METHODS, design_pipeline
+from .design import DESIGN_METHODS
 from .errors import ConsensusSpectraError, ParameterError
 from .topology import FIELDS, NetworkModel, _normalised, format_field, r_nearest_ring, ring, torus
 from .topology import to_csv, to_json
@@ -53,8 +54,9 @@ def _evaluate_point(template: NetworkModel, point: dict, method: str) -> SweepRo
     base = {"kind": template.kind.value, **_normalised(**fields), "method": method}
     try:
         model = dataclasses.replace(template, **point)
-        design = DESIGN_METHODS[method](model)
-        rate_sym = design_pipeline(dataclasses.replace(model, a=0.0)).rate
+        designer = DESIGN_METHODS[method]
+        design = designer(model)
+        rate_sym = designer(dataclasses.replace(model, a=0.0)).rate
     except ConsensusSpectraError as exc:
         nan, error = math.nan, f"{type(exc).__name__}: {exc}"
         return SweepRow(

@@ -18,18 +18,21 @@ its ``rate`` R = 1 - gamma is derived.
 
 A catalog of closed-form expressions covers each topology/parity case
 (even/odd ring, even-even/odd-odd torus, all-even/all-odd m-torus,
-even/odd r-nearest ring).  Its entries are evaluated as catalogued, in
+even/odd r-nearest ring).  One route reads it: ``closed_form_R`` and
+``closed_design`` run the pipeline and hand its design to ``_catalog``,
+which finds the parity case once and evaluates the case's h and rate
+entries.  So no entry is evaluated where the pair design does not exist
+(the odd-ring entries are 0/0 on the 3-node ring), and the catalog
+reads the pipeline's pair.  The entries are evaluated as catalogued, in
 plain floats; at a pole an r-nearest entry reports nan (0/0 or a
 negative radicand) or an infinity signed like its numerator, never an
 error.  ``closed_form_R`` returns the raw value beside the pipeline
 rate; the ``ReconciledRate``'s derived ``tag`` records whether the
 value equals the pipeline rate, the pipeline rate minus one, or
-neither.  No entry is silently corrected.  Known quirks (literal 0.16
-coefficients in the odd-odd torus entry, the squared asymmetry
-coefficient in the r-nearest entries read as a**2) are kept so that
-deviations stay visible.  The pipeline, the catalog's reconciliation
-and ``closed_design`` read the same pair: the closed form's candidates
-are selected once per topology, and a model's a only picks among them.
+neither.  ``closed_design(model).h`` is the catalog h.  No entry is
+silently corrected.  Known quirks (literal 0.16 coefficients in the
+odd-odd torus entry, the squared asymmetry coefficient in the r-nearest
+entries read as a**2) are kept so that deviations stay visible.
 
 ``minimax_h`` is an independent oracle: it minimizes the worst modulus
 max |1 - h*lambda| over all nonzero eigenvalues exactly.  The maximum
@@ -380,42 +383,33 @@ _CATALOG = {
 }
 
 
-def _catalog_entry(model: NetworkModel):
-    """(case, h entry, R entry, arguments) for the model's parity case."""
+def _catalog(model: NetworkModel, pipeline: ConsensusDesign) -> tuple[str, float, float]:
+    """(case, h, rate value) of the catalog entries for the model's parity
+    case, evaluated verbatim; no case is patched to agree with the pipeline.
+
+    ``pipeline`` is the model's ``design_pipeline`` design, so a model
+    reaches an entry only once its pair design exists: the 3-node ring,
+    where the odd-ring entries are 0/0, has already raised
+    DegenerateError.  The all-odd N-torus has no catalogued rate entry;
+    its value is its h measured on the pipeline's slow mode.  Raises
+    UnsupportedParityError for mixed-parity tori.
+    """
     case = formula_case(model)
     h_entry, R_entry, arguments = _CATALOG[case]
-    return case, h_entry, R_entry, arguments(model, tuple(sorted(model.shape, reverse=True)))
-
-
-def closed_form_h(model: NetworkModel) -> float:
-    """Catalog consensus parameter for the model's parity case.
-
-    Values are the catalog entries verbatim; no case is patched to agree
-    with the pipeline.  Raises UnsupportedParityError for mixed-parity
-    tori.
-    """
-    _, h_entry, _, args = _catalog_entry(model)
-    return h_entry(*args)
+    args = arguments(model, tuple(sorted(model.shape, reverse=True)))
+    h = h_entry(*args)
+    if R_entry is None:
+        value = _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM).rate
+    else:
+        value = R_entry(*args)
+    return case, h, value
 
 
 def closed_form_R(model: NetworkModel) -> ReconciledRate:
-    """Catalog rate value plus its reconciliation against the pipeline.
-
-    The all-odd N-torus has no catalogued rate expression; its value is
-    derived numerically from the all-odd consensus parameter and the
-    slow eigenvalue, and reconciled like every other case.
-    """
-    case, h_entry, R_entry, args = _catalog_entry(model)
-    # the pipeline runs first, so a degenerate model raises DegenerateError
-    # before an entry is evaluated outside its domain
+    """Catalog rate value plus its reconciliation against the pipeline."""
     pipeline = design_pipeline(model)
-    if R_entry is None:
-        printed = _on_slow_mode(
-            h_entry(*args), pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM
-        ).rate
-    else:
-        printed = R_entry(*args)
-    return ReconciledRate(printed, pipeline.rate, case)
+    case, _, value = _catalog(model, pipeline)
+    return ReconciledRate(value, pipeline.rate, case)
 
 
 def closed_design(model: NetworkModel) -> ConsensusDesign:
@@ -423,11 +417,9 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
 
     gamma is |1 - h*lambda_s| with the pipeline's extremal pair, so a
     deviating catalog entry shows up as a gamma unlike the pipeline's.
-    The pipeline runs first, as in ``closed_form_R``, so the 3-node ring,
-    where the odd-ring entry is 0/0, raises DegenerateError.
     """
     pipeline = design_pipeline(model)
-    h = closed_form_h(model)
+    _, h, _ = _catalog(model, pipeline)
     return _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM)
 
 

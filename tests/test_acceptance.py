@@ -79,7 +79,7 @@ def test_criterion_2_consensus_parameter_fidelity():
             if pipeline is None:
                 continue
             case = formula_case(model)
-            h_closed = cs.closed_form_h(model)
+            h_closed = cs.closed_design(model).h
             checked += 1
             deviation = abs(h_closed - pipeline.h)
             if not deviation <= H_TOL:
@@ -336,7 +336,7 @@ def test_criterion_7_worked_constants():
     model = cs.ring(4, 0.5)
     pipeline = cs.design_pipeline(model)
     minimax = cs.minimax_h(cs.full_spectrum(model))
-    h_closed = cs.closed_form_h(model)
+    h_closed = cs.closed_design(model).h
     rate_closed = cs.closed_form_R(model)
 
     for h in (pipeline.h, minimax.h, h_closed):

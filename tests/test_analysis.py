@@ -18,6 +18,7 @@ from consensus_spectra import (
 )
 from consensus_spectra import spectral
 from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES, FIGURES
+from consensus_spectra.design import DESIGN_METHODS
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -40,6 +41,22 @@ class TestSweep:
         rows = sweep(ring(4, 0.0), {"a": [0.0]})
         assert rows[0].absolute_error == 0.0
         assert rows[0].rate_symmetric == rows[0].rate
+
+    @pytest.mark.parametrize("method", list(DESIGN_METHODS))
+    def test_every_symmetric_figure_row_has_zero_absolute_error(self, method):
+        # the symmetric rate comes from the sweep's own method, so an a = 0
+        # row holds one design's rate twice
+        rows = [row for f in FIGURES for row in figure_dataset(f, method).rows if row.a == 0.0]
+        assert rows
+        assert [row for row in rows if row.absolute_error != 0.0] == []
+
+    def test_minimax_sweep_solves_the_three_ring(self):
+        # only the pair design refuses the 3-node ring; a minimax sweep
+        # takes its symmetric rate from the minimax design too
+        (row,) = sweep(ring(3, 0.3), {"n": [3]}, method="minimax")
+        assert row.error == ""
+        assert row.rate_symmetric == DESIGN_METHODS["minimax"](ring(3, 0.0)).rate
+        assert row.absolute_error == row.rate_symmetric - row.rate
 
     def test_failing_point_recorded_in_row(self):
         rows = sweep(ring(4, 0.0), {"n": [3, 4]})

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import consensus_spectra
 from consensus_spectra import (
     DegenerateError,
     DesignMethod,
@@ -20,7 +21,6 @@ from consensus_spectra import (
     UnsupportedParityError,
     closed_design,
     closed_form_R,
-    closed_form_h,
     design_export_dict,
     design_pipeline,
     factor_extremal_pair,
@@ -141,44 +141,44 @@ class TestDesignPipeline:
 
 class TestClosedFormH:
     def test_ring4(self):
-        assert closed_form_h(ring(4, 0.5)) == pytest.approx(8 / 11, abs=1e-12)
+        assert closed_design(ring(4, 0.5)).h == pytest.approx(8 / 11, abs=1e-12)
 
     def test_torus_even(self):
-        assert closed_form_h(torus((4, 4), 0.0)) == pytest.approx(0.4, abs=1e-12)
+        assert closed_design(torus((4, 4), 0.0)).h == pytest.approx(0.4, abs=1e-12)
 
     @pytest.mark.parametrize("a", [0.0, 0.3, 0.9])
     def test_matching_cases_track_pipeline(self, a):
         # the ring and even-torus entries agree with the pipeline
         # everywhere; the full-grid check lives in the acceptance suite
         for model in (ring(10, a), ring(11, a), torus((4, 8), a), torus((8, 8), a)):
-            assert closed_form_h(model) == pytest.approx(design_pipeline(model).h, abs=1e-9)
+            assert closed_design(model).h == pytest.approx(design_pipeline(model).h, abs=1e-9)
 
     def test_nd_even_entry_generalizes_lower_dimensions(self):
         # m = 1 and m = 2 reductions coincide with the ring and 2-D entries
         for a in (0.0, 0.5, 1.0):
-            assert _h_torusN_even(6, 1, a) == pytest.approx(closed_form_h(ring(6, a)), abs=1e-12)
+            assert _h_torusN_even(6, 1, a) == pytest.approx(closed_design(ring(6, a)).h, abs=1e-12)
             assert _h_torusN_even(8, 2, a) == pytest.approx(
-                closed_form_h(torus((4, 8), a)), abs=1e-12
+                closed_design(torus((4, 8), a)).h, abs=1e-12
             )
 
     def test_nd_even_matches_pipeline_in_three_dimensions(self):
         for a in (0.0, 0.4, 0.8):
             model = torus((4, 6, 8), a)
-            assert closed_form_h(model) == pytest.approx(design_pipeline(model).h, abs=1e-9)
+            assert closed_design(model).h == pytest.approx(design_pipeline(model).h, abs=1e-9)
 
     def test_nd_odd_entry_documented_deviation(self):
         # the all-odd entry drops a cross term and reuses the all-even
         # numerator, so it deviates from the pipeline; kept verbatim
         model = torus((5, 5, 5), 0.0)
-        assert abs(closed_form_h(model) - design_pipeline(model).h) > 1e-3
+        assert abs(closed_design(model).h - design_pipeline(model).h) > 1e-3
 
     def test_rnearest_even_known_quirks(self):
         # n = 2r + 2 with even r makes the entry 0/0 at a = 0 and 0 for
         # a > 0 (its half-index eigenvalue ties the slow one); the 0/0
         # assertion pins this build's evaluation order, where numerator
         # and denominator both land on exact float zeros
-        assert math.isnan(closed_form_h(r_nearest_ring(6, 2, 0.0)))
-        assert closed_form_h(r_nearest_ring(6, 2, 0.5)) == pytest.approx(0.0, abs=1e-15)
+        assert math.isnan(closed_design(r_nearest_ring(6, 2, 0.0)).h)
+        assert closed_design(r_nearest_ring(6, 2, 0.5)).h == pytest.approx(0.0, abs=1e-15)
 
     def test_rnearest_even_matches_its_own_pair(self):
         # the even entry solves the equal-modulus equation for the
@@ -188,15 +188,26 @@ class TestClosedFormH:
             spectrum = full_spectrum(model)
             lam_s = spectrum.values[1]
             lam_half = spectrum.values[n // 2]
-            assert closed_form_h(model) == pytest.approx(
+            assert closed_design(model).h == pytest.approx(
                 solve_h_pair(lam_s, lam_half), abs=1e-9
             )
 
     def test_mixed_parity_unsupported(self):
         with pytest.raises(UnsupportedParityError):
-            closed_form_h(torus((4, 5), 0.3))
+            closed_design(torus((4, 5), 0.3))
         with pytest.raises(UnsupportedParityError):
-            closed_form_h(torus((3, 4, 5), 0.0))
+            closed_design(torus((3, 4, 5), 0.0))
+
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 1.0])
+    def test_three_ring_has_no_catalog_h(self, a):
+        # the odd-ring entries are 0/0 at n = 3, where rounding makes the h
+        # entry 0.667, 0.857, 0.6 and 1.2 at these a; every catalog route
+        # runs the pipeline first, which refuses the model
+        for call in (closed_design, closed_form_R):
+            with pytest.raises(DegenerateError):
+                call(ring(3, a))
+        assert not hasattr(consensus_spectra, "closed_form_h")
+        assert not hasattr(design, "closed_form_h")
 
 
 class TestClosedFormR:
@@ -237,6 +248,7 @@ class TestClosedFormR:
             closed_form_R(ring(3, 0.0))
 
     def test_parity_lookup_comes_first(self):
+        # the case is found before any entry is evaluated
         with pytest.raises(UnsupportedParityError):
             closed_form_R(torus((3, 4), 0.0))
 
@@ -421,13 +433,13 @@ class TestCatalogWiring:
         self, case, model, h_expected, R_expected
     ):
         assert formula_case(model) == case
-        assert closed_form_h(model) == h_expected()
+        assert closed_design(model).h == h_expected()
         rec = closed_form_R(model)
         assert rec.case == case
         assert rec.value == R_expected()
 
 
-# model -> (repr of closed_form_R(model).value, repr of closed_form_h(model)),
+# model -> (repr of closed_form_R(model).value, repr of closed_design(model).h),
 # pinned bit for bit; a nan comes from a negative radicand (R) or 0/0 (h)
 CATALOG_VALUES = {
     "rnearest:n=14,r=3,a=0.37": ("0.22236742302966672", "0.39889435352356595"),
@@ -451,7 +463,7 @@ class TestCatalogValues:
     @pytest.mark.parametrize("spec", CATALOG_VALUES)
     def test_rnearest_entries_bit_for_bit(self, spec):
         model = parse_model(spec)
-        assert (repr(closed_form_R(model).value), repr(closed_form_h(model))) == CATALOG_VALUES[spec]
+        assert (repr(closed_form_R(model).value), repr(closed_design(model).h)) == CATALOG_VALUES[spec]
 
     def test_h_entry_at_zero_over_zero_is_nan(self):
         assert math.isnan(_h_rnearest_even(6, 2, 0.0))
