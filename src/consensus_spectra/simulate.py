@@ -3,9 +3,10 @@
 The iteration preserves the mean of the state vector (column sums of L
 are zero), so the error norm tracked here is the Euclidean distance to
 the uniform vector at the initial average.  Per-step multiplication
-either reads the Laplacian's nonzeros or exploits structure (two
-circular window sums for the r-nearest ring, per-axis cyclic shifts on
-the torus grid, of which the ring is the one-axis case).  The two routes
+either reads the Laplacian's nonzeros or exploits structure, by factor
+radius: two circular window sums for radius r >= 2 (an r-nearest ring),
+per-axis cyclic shifts where every radius is 1 (a torus, of which the
+ring and the r = 1 r-nearest ring are the one-axis case).  The two routes
 sum in different orders, so their traces agree to about 1e-12, not bit
 for bit.  Neither builds an n x n matrix, so neither is capped in size.
 
@@ -18,8 +19,8 @@ allocated once per run.  A torus shift is a flat contiguous copy by the
 axis stride whose wrap slab in each block is then overwritten; the
 window sums run on a padded copy of the deviation from the state's
 mean, which each step takes once for the averages and the next step
-alike.  The error is taken in a spent buffer, so a run holds four
-state-sized vectors on a torus.  Each structured step does the float
+alike.  The error is taken in a spent buffer, so a radius-1 run holds
+four state-sized vectors.  Each structured step does the float
 operations of the allocating expressions
 ``x - h * (degree * x + fw * roll(x, -1) + bw * roll(x, 1) + ...)`` and
 ``r * d + fw * ahead + bw * behind`` in the same order, so its traces
@@ -40,7 +41,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, InsufficientDataError, ParameterError
-from .topology import Kind, NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
+from .topology import NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -123,8 +124,9 @@ def _structured_apply_L(model: NetworkModel):
     fw, bw = link_weights(model.a)
     n = model.order
     out = np.empty(n)
-    if model.kind is Kind.R_NEAREST_RING:
-        r = model.r
+    # only a one-factor model (an r-nearest ring) has a radius above 1
+    r = max(radius for _, radius in model.factors)
+    if r > 1:
         # d = x - mean(x) sits at pad[r : r + n] between copies of its two
         # ends; c[0] = 0 and c[1:] holds the prefix sums of pad
         pad = np.empty(n + 2 * r)
@@ -152,7 +154,7 @@ def _structured_apply_L(model: NetworkModel):
             return out
 
         return apply
-    # a ring is the 1-torus: one axis, degree weight 1.  In the flat C-order
+    # a ring, either spelling, is the 1-torus: one axis, degree weight 1.  In the flat C-order
     # vector an axis of length k and stride s cycles within blocks of k * s
     # entries: a neighbour is a flat shift by s, except in the block's wrap
     # slab of s entries, which is then overwritten from the block's other end

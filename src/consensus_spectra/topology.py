@@ -3,11 +3,13 @@
 Four regular families are supported: the ring, the r-nearest-neighbor
 ring, the 2-D torus and the m-dimensional torus (the torus kind covers
 every m >= 2), each a Cartesian sum of directed circulant factors
-(``NetworkModel.factors``), which the spectra and the consensus steps
-read.  The ring stays a kind of its own for the model grammar and the
-catalog.  A model's Laplacian is the Kronecker sum of its factors'
-circulant matrices, each given by its first row, ``factor_row``;
-nothing here builds it as an order x order matrix.
+(``NetworkModel.factors``), which the spectra, designs and consensus
+steps read, so ``ring(n, a)`` and ``r_nearest_ring(n, 1, a)`` differ only
+in the grammar and the catalog.  A factor of radius r needs a side
+>= 2r + 1, so its two neighbor arcs stay disjoint (n = 2r + 1 is the
+complete digraph).  A model's Laplacian is the Kronecker sum of its
+factors' circulant matrices, each given by its first row,
+``factor_row``; nothing here builds it as an order x order matrix.
 
 Links are directional: the forward neighbor of a node is weighted
 (1 - a) / 2 and the backward neighbor (1 + a) / 2, where a in [0, 1] is
@@ -155,15 +157,9 @@ def validate(model: NetworkModel) -> NetworkModel:
         n, r = model.n, model.r
         if not _is_int(r) or r < 1:
             raise ParameterError(f"r-nearest ring needs integer r >= 1, got r={r}")
-        if _is_int(n) and n == 2 * r + 1:
+        if not _is_int(n) or n < 2 * r + 1:
             raise ParameterError(
-                f"n = 2r + 1 = {n} makes every node adjacent to every other "
-                f"(a complete graph); model it densely and use the generic "
-                f"pipeline instead"
-            )
-        if not _is_int(n) or n < 2 * r + 2:
-            raise ParameterError(
-                f"r-nearest ring needs n >= 2r + 2 = {2 * r + 2} so the two "
+                f"r-nearest ring needs n >= 2r + 1 = {2 * r + 1} so the two "
                 f"neighbor arcs stay disjoint, got n={n}"
             )
     elif model.kind is Kind.TORUS:

@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "consensus_spectra"
 KIND_TESTS = {
     ("topology", "validate"),
     ("topology", "_KIND_FIELDS"),
-    ("simulate", "_structured_apply_L"),
 }
 
 

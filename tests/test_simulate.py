@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from consensus_spectra import (
     DivergenceError,
@@ -36,7 +36,6 @@ from consensus_spectra.simulate import (
     _late_window_factor,
     _structured_apply_L,
 )
-from consensus_spectra.topology import Kind
 from laplacian_reference import reference_laplacian
 
 
@@ -106,13 +105,15 @@ def _apply_models():
 
 
 def reference_apply_L(model):
-    """The allocating step: np.roll per torus axis, concatenate plus
-    cumsum windows for the r-nearest ring."""
+    """The allocating step: concatenate plus cumsum windows for a factor
+    of radius r >= 2 (an r-nearest ring), else np.roll per axis, the ring
+    and the r = 1 r-nearest ring being the one-axis torus."""
     a = model.a
     fw = (-1.0 + a) / 2.0
     bw = (-1.0 - a) / 2.0
-    if model.kind is Kind.R_NEAREST_RING:
-        r, n = model.r, model.n
+    r = max(radius for _, radius in model.factors)
+    if r > 1:
+        n = model.order
 
         def apply(x):
             d = x - x.mean()
@@ -179,7 +180,7 @@ _structured_models = st.one_of(
     st.builds(ring, st.integers(min_value=3, max_value=300), _unit),
     st.integers(min_value=1, max_value=30).flatmap(
         lambda r: st.builds(
-            r_nearest_ring, st.integers(min_value=2 * r + 2, max_value=2 * r + 150), st.just(r), _unit
+            r_nearest_ring, st.integers(min_value=2 * r + 1, max_value=2 * r + 150), st.just(r), _unit
         )
     ),
     st.builds(
@@ -193,7 +194,7 @@ _structured_models = st.one_of(
 def _window_models():
     return [
         r_nearest_ring(n, r, a)
-        for n, r in ((14, 1), (14, 6), (64, 5), (400, 150))
+        for n, r in ((5, 2), (14, 6), (64, 5), (400, 150))
         for a in (0.0, 0.37, 1.0)
     ]
 
@@ -347,6 +348,12 @@ class TestRunConsensus:
         st.booleans(),
     )
     @settings(max_examples=80, deadline=None)
+    # the kernel is picked by factor radius: the 3-node ring and both r = 1
+    # r-nearest rings run the shift code, r = 2 on n = 2r + 1 the windows
+    @example(ring(3, 0.37), 0.3, 1, 14.0, 60, False)
+    @example(r_nearest_ring(3, 1, 0.37), 0.3, 1, 14.0, 60, False)
+    @example(r_nearest_ring(14, 1, 0.37), 0.5, 2, 14.0, 60, False)
+    @example(r_nearest_ring(5, 2, 0.37), 0.25, 3, 14.0, 60, False)
     def test_bit_identical_to_allocating_step(self, model, h, seed, decades, max_steps, dense):
         # the in-place step must do the reference's float operations in
         # the reference's order; a tolerance some decades below the
@@ -382,6 +389,7 @@ class TestRunConsensus:
                 (ring(10**6, 0.3), 4),
                 (torus((100, 100, 100), 0.3), 4),
                 (torus((10,) * 6, 0.3), 4),
+                (r_nearest_ring(10**6, 1, 0.3), 4),
                 (r_nearest_ring(10**6, 8, 0.3), 5),
             )
         ],
@@ -389,8 +397,8 @@ class TestRunConsensus:
     def test_peak_memory_bounded(self, model, vectors):
         # the step's buffers are allocated once per run, so the peak does
         # not grow with the number of torus axes: the state and its double
-        # buffer, the step's output, and the shift buffer (a torus) or the
-        # padded deviation and its prefix sums (an r-nearest ring); the
+        # buffer, the step's output, and the shift buffer (every factor of
+        # radius 1) or the padded deviation and its prefix sums (r >= 2); the
         # error is taken in a spent buffer.  The slack holds the per-axis
         # bookkeeping and the pads, O(shape) bytes
         x0 = uniform_vector(1, model.order)

@@ -53,7 +53,7 @@ class TestValidate:
         assert validate(m) is m
 
     def test_rnearest_needs_disjoint_arcs(self):
-        # n = 6 < 2r + 1 = 7: the arcs overlap, which is not the complete graph
+        # n = 6 < 2r + 1 = 7: the two neighbor arcs overlap
         with pytest.raises(ParameterError, match="disjoint"):
             validate(NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=6, r=3))
 
@@ -70,10 +70,12 @@ class TestValidate:
         with pytest.raises(ParameterError, match="^asymmetric factor a must be a finite real"):
             ring(4, a)
 
-    def test_complete_graph_rejected_with_hint(self):
-        # n = 2r + 1 makes every node adjacent to every other
-        with pytest.raises(ParameterError, match="complete graph"):
-            validate(NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=7, r=3))
+    def test_complete_graph_builds(self):
+        # n = 2r + 1 makes every node adjacent to every other: the complete
+        # digraph, whose two neighbor arcs are still disjoint
+        m = NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=7, r=3)
+        assert validate(m) is m
+        assert m.factors == ((7, 3),)
 
     def test_small_ring_rejected(self):
         with pytest.raises(ParameterError):
@@ -115,18 +117,17 @@ class TestValidate:
         "fields,build,spec,message",
         [
             (
-                # n = 5, r = 2 is the complete graph, reported as such
+                # n = 5, r = 2 is the complete graph, which builds
                 dict(kind=Kind.R_NEAREST_RING, a=0.0, n=5, r=2),
                 lambda: r_nearest_ring(5, 2, 0.0),
                 "rnearest:n=5,r=2,a=0.0",
-                "n = 2r + 1 = 5 makes every node adjacent to every other (a complete graph); "
-                "model it densely and use the generic pipeline instead",
+                None,
             ),
             (
                 dict(kind=Kind.R_NEAREST_RING, a=0.0, n=6, r=3),
                 lambda: r_nearest_ring(6, 3, 0.0),
                 "rnearest:n=6,r=3,a=0.0",
-                "r-nearest ring needs n >= 2r + 2 = 8 so the two neighbor arcs stay disjoint, got n=6",
+                "r-nearest ring needs n >= 2r + 1 = 7 so the two neighbor arcs stay disjoint, got n=6",
             ),
             (
                 dict(kind=Kind.RING, a=1.2, n=4),
@@ -138,8 +139,7 @@ class TestValidate:
                 dict(kind=Kind.R_NEAREST_RING, a=0.0, n=7, r=3),
                 lambda: r_nearest_ring(7, 3, 0.0),
                 "rnearest:n=7,r=3,a=0.0",
-                "n = 2r + 1 = 7 makes every node adjacent to every other (a complete graph); "
-                "model it densely and use the generic pipeline instead",
+                None,
             ),
             (
                 dict(kind=Kind.RING, a=0.0, n=2),
@@ -173,7 +173,8 @@ class TestValidate:
     )
     def test_every_route_builds_through_validate(self, fields, build, spec, message):
         # construction, dataclasses.replace, the wrappers and the grammar all
-        # raise validate's message: no route builds an invalid model
+        # raise validate's message: no route builds an invalid model.  A row
+        # without a message is valid, and every route builds the same model
         valid = {
             Kind.RING: ring(8, 0.5),
             Kind.R_NEAREST_RING: r_nearest_ring(12, 3, 0.5),
@@ -187,6 +188,9 @@ class TestValidate:
         if spec is not None:
             routes.append(lambda: parse_model(spec))
         for route in routes:
+            if message is None:
+                assert route() == NetworkModel(**fields)
+                continue
             with pytest.raises(ParameterError) as raised:
                 route()
             assert str(raised.value) == message
