@@ -32,14 +32,12 @@ from .errors import (
     ConsensusSpectraError,
     DegenerateError,
     DivergenceError,
-    InsufficientDataError,
     ParameterError,
     UnsupportedParityError,
 )
 from .simulate import (
     SimulationTrace,
     TrialResult,
-    empirical_contraction,
     report_to_json,
     run_consensus,
     splitmix64,

@@ -84,7 +84,7 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
     if unknown:
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
     if method not in DESIGN_METHODS:
-        raise ValueError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
+        raise ParameterError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
     grid = product(*(varying[k] for k in keys))
     return [_evaluate_point(template, dict(zip(keys, combo)), method) for combo in grid]
 
@@ -143,7 +143,7 @@ FIGURES = {
 def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
     """Full dataset behind one of the standard figures, an id of ``FIGURES``."""
     if figure_id not in FIGURES:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
+        raise ParameterError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
     label, grid, sweeps = FIGURES[figure_id]
     rows = [row for template, varying in sweeps for row in sweep(template, varying, method)]
     metadata = {"grid": grid, "method": method}

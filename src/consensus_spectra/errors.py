@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's exception types, all ConsensusSpectraError subclasses."""
 
 
 class ConsensusSpectraError(Exception):
@@ -6,7 +6,7 @@ class ConsensusSpectraError(Exception):
 
 
 class ParameterError(ConsensusSpectraError):
-    """A network model violates one of its parameter constraints."""
+    """An argument violates one of its constraints."""
 
 
 class DegenerateError(ConsensusSpectraError):
@@ -23,8 +23,3 @@ class UnsupportedParityError(ConsensusSpectraError):
 class DivergenceError(ConsensusSpectraError):
     """The consensus iteration grew past the divergence guard,
     signalling a non-contracting weight matrix."""
-
-
-class InsufficientDataError(ConsensusSpectraError):
-    """A trace does not contain enough usable steps for the requested
-    estimate."""

@@ -26,6 +26,10 @@ operations of the allocating expressions
 ``r * d + fw * ahead + bw * behind`` in the same order, so its traces
 are bit-identical to theirs.
 
+A run's measured contraction has one estimate, the trace's
+``empirical_factor``, a geometric mean of the error-norm ratios over the
+last ``DEFAULT_WINDOW`` steps: complex pairs make single ratios oscillate.
+
 Initial vectors for the verification harness come from an explicit
 splitmix-style 64-bit generator, evaluated for the whole vector at once
 in uint64 arithmetic, so that traces reproduce bit-for-bit across
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import ConsensusDesign
-from .errors import DivergenceError, InsufficientDataError, ParameterError
+from .errors import DivergenceError, ParameterError
 from .topology import NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
 
 _DIVERGENCE_FACTOR = 1e6
@@ -320,27 +324,6 @@ def _late_window_factor(error_norms: np.ndarray, window: int) -> float:
     w = min(window, len(usable) - 1)
     ratios = usable[-w:] / usable[-w - 1 : -1]
     return float(np.exp(np.mean(np.log(ratios))))
-
-
-def empirical_contraction(trace: SimulationTrace, window: int) -> float:
-    """Geometric mean of successive error-norm ratios over the final
-    ``window`` steps.
-
-    The geometric mean is used because complex eigenvalue pairs make
-    individual ratios oscillate; over a long run the estimate settles
-    on the largest contraction modulus of the iteration.
-    """
-    # window = 0 would fail in numpy, a negative one would silently
-    # average over the wrong slice of ratios and a fractional one would
-    # fail in numpy's slicing
-    if not _is_int(window) or window < 1:
-        raise ParameterError(f"window must be an integer >= 1, got window={window!r}")
-    usable = np.count_nonzero(trace.error_norms > 0.0)
-    if usable < window + 1:
-        raise InsufficientDataError(
-            f"need {window + 1} steps with nonzero error norms, trace has {usable}"
-        )
-    return _late_window_factor(trace.error_norms, window)
 
 
 @dataclass(frozen=True)

@@ -60,9 +60,12 @@ def _normalised(n, r, dims, a) -> dict:
     # a bool as the Python float it equals (adding 0.0 turns -0.0 into
     # 0.0), so numpy values print, export and compare like Python ones;
     # a real beyond the float range becomes the infinity of its sign, and
-    # other values are left for validate to reject
+    # other values, a non-iterable dims too, are left for validate to reject
     if dims is not None:
-        dims = tuple(_as_int(k) for k in dims)
+        try:
+            dims = tuple(_as_int(k) for k in dims)
+        except TypeError:
+            pass
     if type(a) is float or (isinstance(a, numbers.Real) and not isinstance(a, bool)):
         try:
             a = float(a) + 0.0
@@ -164,7 +167,7 @@ def validate(model: NetworkModel) -> NetworkModel:
             )
     elif model.kind is Kind.TORUS:
         dims = model.dims
-        if dims is None or len(dims) < 2:
+        if not isinstance(dims, tuple) or len(dims) < 2:
             raise ParameterError(f"torus needs at least 2 dimensions, got dims={dims}")
         for i, k in enumerate(dims):
             if not _is_int(k) or k < 3:
@@ -251,8 +254,8 @@ def parse_model(text: str) -> NetworkModel:
 
 def format_field(key: str, value) -> str:
     """Inverse of parse_field: the grammar's text of a stored field value,
-    as in n=8, a=0.3 or dims=3x4x5."""
-    return "x".join(map(str, value)) if key == "dims" else str(value)
+    as in n=8, a=0.3 or dims=3x4x5 (a failed sweep point's non-tuple dims as str())."""
+    return "x".join(map(str, value)) if key == "dims" and isinstance(value, tuple) else str(value)
 
 
 def format_model(model: NetworkModel) -> str:

@@ -1,6 +1,9 @@
-"""Shared model grids for property and acceptance tests."""
+"""Shared model grids for property and acceptance tests, and a strict
+JSON parser for the exporters' output."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -39,6 +42,16 @@ def torus_models(a: float):
 
 def grid_models(a: float):
     return ring_models(a) + rnearest_models(a) + torus_models(a)
+
+
+def strict_json(text):
+    """Parse JSON, rejecting the NaN, Infinity and -Infinity tokens
+    that json.dumps writes by default but JSON does not allow."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def pure_parity(model: NetworkModel) -> bool:

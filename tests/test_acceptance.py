@@ -257,8 +257,7 @@ def test_criterion_5_simulation_agreement():
         trace = cs.run_consensus(
             model, design.h, x0, max_steps=151, tolerance=max(1e-12 * initial_error, 1e-300)
         )
-        window = min(50, int(np.sum(trace.error_norms > 0)) - 1)
-        empirical = cs.empirical_contraction(trace, window)
+        empirical = trace.empirical_factor
         rel = abs(empirical - design.gamma) / design.gamma
         worst_rel = max(worst_rel, rel)
         drift = float(np.max(np.abs(trace.averages - trace.averages[0])))

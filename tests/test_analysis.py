@@ -19,6 +19,7 @@ from consensus_spectra import (
 from consensus_spectra import spectral
 from consensus_spectra.analysis import FIG5_RADII, FIG6_SIDES, FIGURES
 from consensus_spectra.design import DESIGN_METHODS
+from conftest import strict_json
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
@@ -78,12 +79,22 @@ class TestSweep:
         assert good.error == "" and good.dims == (5, 3)
         assert json.loads(rows_to_jsonl(rows).splitlines()[0])["dims"] == "5x2"
 
+    def test_scalar_dims_point_recorded_in_row(self):
+        # a scalar dims escaped the sweep as a bare TypeError
+        rows = sweep(torus((3, 4)), {"dims": [5, (3, 5)]})
+        bad, good = rows
+        assert bad.error == "ParameterError: torus needs at least 2 dimensions, got dims=5"
+        assert bad.dims == 5 and math.isnan(bad.rate)
+        assert good.error == "" and good.dims == (3, 5)
+        assert rows_to_csv(rows).splitlines()[1].split(";")[3] == "5"
+        assert strict_json(rows_to_jsonl(rows).splitlines()[0])["dims"] == "5"
+
     def test_unknown_field_raises(self):
         with pytest.raises(ParameterError, match=r"cannot vary \['x'\]"):
             sweep(ring(8), {"x": [1]})
 
     def test_unknown_method_raises(self):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ParameterError, match="unknown method"):
             sweep(ring(4, 0.5), {"n": [4]}, method="newton")
 
     def test_grid_order_is_row_major(self):
@@ -178,7 +189,7 @@ class TestFigureDatasets:
         assert spectral._closed_candidates.cache_info().misses == len(topologies)
 
     def test_unknown_figure(self):
-        with pytest.raises(ValueError, match=r"unknown figure id 8; expected one of \[3, 4, 5, 6, 7\]"):
+        with pytest.raises(ParameterError, match=r"unknown figure id 8; expected one of \[3, 4, 5, 6, 7\]"):
             figure_dataset(8)
 
     @pytest.mark.parametrize(
@@ -243,11 +254,7 @@ class TestSerialization:
     def test_infinities_serialized_as_null(self):
         (row,) = sweep(ring(8, 0.3), {"n": [8]})
         row = dataclasses.replace(row, h=math.inf, gamma=-math.inf)
-
-        def reject(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        record = json.loads(rows_to_jsonl([row]), parse_constant=reject)
+        record = strict_json(rows_to_jsonl([row]))
         assert (record["h"], record["gamma"]) == (None, None)
         assert record["rate"] == row.rate
         assert rows_to_csv([row]).splitlines()[1].split(";")[5:7] == ["inf", "-inf"]

@@ -15,6 +15,7 @@ import pytest
 from consensus_spectra import closed_design, closed_values, design as design_mod, parse_model
 from consensus_spectra.analysis import FIGURES
 from consensus_spectra.cli import build_parser, run
+from conftest import strict_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -297,16 +298,6 @@ class TestGoldenBytes:
     def test_stdout_bytes(self, capsys, name):
         argv, expected = GOLDEN[name]
         assert invoke(capsys, *argv) == (0, expected, "")
-
-
-def strict_json(text):
-    """Parse JSON, rejecting the NaN, Infinity and -Infinity tokens
-    that json.dumps writes by default but JSON does not allow."""
-
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 class TestStrictJson:

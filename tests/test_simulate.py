@@ -13,10 +13,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from consensus_spectra import (
     DivergenceError,
-    InsufficientDataError,
     ParameterError,
     design_pipeline,
-    empirical_contraction,
     format_model,
     r_nearest_ring,
     ring,
@@ -36,6 +34,7 @@ from consensus_spectra.simulate import (
     _late_window_factor,
     _structured_apply_L,
 )
+from conftest import strict_json
 from laplacian_reference import reference_laplacian
 
 
@@ -484,7 +483,7 @@ class TestRunConsensus:
 class TestEmpiricalContraction:
     def test_ring4_symmetric(self):
         trace = run_consensus(ring(4, 0.0), 2 / 3, [1.0, 2.0, 3.0, 4.0], 25, 1e-300)
-        assert empirical_contraction(trace, 20) == pytest.approx(1 / 3, abs=1e-3)
+        assert _late_window_factor(trace.error_norms, 20) == pytest.approx(1 / 3, abs=1e-3)
 
     def test_ring4_asymmetric_oscillating(self):
         # the error reaches the iteration's float rounding floor near
@@ -492,7 +491,7 @@ class TestEmpiricalContraction:
         # the widest clean late window this fast a contraction allows
         x0 = np.array([1.0, 2.0, 3.0, 4.0]) - 2.5
         trace = run_consensus(ring(4, 0.5), 8 / 11, x0, 45, 1e-300)
-        assert empirical_contraction(trace, 40) == pytest.approx(5 / 11, abs=5e-3)
+        assert _late_window_factor(trace.error_norms, 40) == pytest.approx(5 / 11, abs=5e-3)
 
     def test_estimator_measures_true_spectral_factor(self):
         # where an interior eigenvalue out-contracts the extremal pair,
@@ -508,17 +507,7 @@ class TestEmpiricalContraction:
         x0 = uniform_vector(99, 16)
         initial = float(np.linalg.norm(x0 - x0.mean()))
         trace = run_consensus(model, design.h, x0, 300, 1e-12 * initial)
-        assert empirical_contraction(trace, 30) == pytest.approx(true_factor, rel=0.01)
-
-    def test_zero_trace_insufficient(self):
-        trace = run_consensus(ring(4, 0.0), 2 / 3, [2.5] * 4, 10, 1e-12)
-        with pytest.raises(InsufficientDataError):
-            empirical_contraction(trace, 5)
-
-    def test_window_too_wide(self):
-        trace = run_consensus(ring(4, 0.0), 2 / 3, [1.0, 2.0, 3.0, 4.0], 10, 1e-300)
-        with pytest.raises(InsufficientDataError):
-            empirical_contraction(trace, 50)
+        assert _late_window_factor(trace.error_norms, 30) == pytest.approx(true_factor, rel=0.01)
 
 
 class TestVerifyConsensus:
@@ -630,19 +619,6 @@ class TestVerifyConsensus:
         assert all(type(t.seed) is int for t in got)
 
 
-@pytest.mark.parametrize("window", [0, -3, 2.5, True])
-class TestWindowValidation:
-    """A window that is not an integer >= 1 is a parameter error, not a
-    numpy shape error (0), a factor over the wrong slice (-3), a bare
-    TypeError from numpy's slicing (2.5) or a window of one (True)."""
-
-    def test_empirical_contraction(self, window):
-        model = ring(8, 0.3)
-        trace = run_consensus(model, design_pipeline(model).h, uniform_vector(1, 8), 20, 1e-300)
-        with pytest.raises(ParameterError, match="window"):
-            empirical_contraction(trace, window)
-
-
 class TestTraceExport:
     def test_csv_columns(self):
         trace = run_consensus(ring(4, 0.0), 2 / 3, [1.0, 2.0, 3.0, 4.0], 5, 1e-300)
@@ -665,13 +641,6 @@ class TestTraceExport:
             "3;0.06014255955644601;0.47257725413859725\n"
             "4;0.02733752707111182;0.4725772541385972\n"
         )
-
-
-def strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 class TestReportExport:

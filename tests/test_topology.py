@@ -31,7 +31,7 @@ from consensus_spectra.topology import (
     to_csv,
     to_json,
 )
-from conftest import A_GRID, grid_models
+from conftest import A_GRID, grid_models, strict_json
 from laplacian_reference import reference_laplacian
 
 GRID = [model for a in A_GRID for model in grid_models(a)]
@@ -88,6 +88,10 @@ class TestValidate:
     def test_torus_needs_two_dims(self):
         with pytest.raises(ParameterError):
             validate(NetworkModel(Kind.TORUS, a=0.0, dims=(5,)))
+
+    @pytest.mark.parametrize("dims", [range(3, 6), [3, 4, 5], np.array([3, 4, 5])])
+    def test_torus_dims_from_any_iterable(self, dims):
+        assert torus(dims).dims == (3, 4, 5)
 
     def test_one_directional_ring_allowed(self):
         assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
@@ -160,6 +164,20 @@ class TestValidate:
                 None,
                 "torus needs at least 2 dimensions, got dims=(5,)",
             ),
+            (
+                # a scalar dims escaped as "'int' object is not iterable"
+                dict(kind=Kind.TORUS, a=0.0, dims=5),
+                lambda: torus(5, 0.0),
+                None,
+                "torus needs at least 2 dimensions, got dims=5",
+            ),
+            (
+                # a str is iterable, so its characters are rejected one by one
+                dict(kind=Kind.TORUS, a=0.0, dims="345"),
+                lambda: torus("345", 0.0),
+                None,
+                "torus needs every k_i an integer >= 3, got k_1=3",
+            ),
         ],
         ids=[
             "rnearest-n5-r2",
@@ -169,6 +187,8 @@ class TestValidate:
             "small-ring",
             "torus-side",
             "torus-one-dim",
+            "torus-scalar-dims",
+            "torus-str-dims",
         ],
     )
     def test_every_route_builds_through_validate(self, fields, build, spec, message):
@@ -520,13 +540,6 @@ class TestLinkWeights:
         row = factor_row(7, 2, a)
         assert (row[1], row[2], row[5], row[6]) == (forward, forward, backward, backward)
         assert (forward, backward) == ((-1.0 + a) / 2.0, (-1.0 - a) / 2.0)
-
-
-def strict_json(text):
-    def reject(token):
-        raise ValueError(f"non-JSON constant {token}")
-
-    return json.loads(text, parse_constant=reject)
 
 
 class TestTextWriters:
