@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .design import (
     ConsensusDesign,
-    DesignMethod,
     ReconciledRate,
     ReconciliationTag,
     closed_design,

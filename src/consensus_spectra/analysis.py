@@ -23,7 +23,7 @@ from pathlib import Path
 from .design import DESIGN_METHODS
 from .errors import ConsensusSpectraError, ParameterError
 from .topology import FIELDS, NetworkModel, _normalised, format_field, r_nearest_ring, ring, torus
-from .topology import to_csv, to_json
+from .topology import _is_int, to_csv, to_json
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class SweepRow:
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
-        d["dims"] = format_field("dims", self.dims) if self.dims else ""
+        d["dims"] = "" if self.dims is None else format_field("dims", self.dims)
         return d
 
 
@@ -85,6 +85,11 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
         raise ParameterError(f"cannot vary {sorted(unknown)}; expected n, r, a or dims")
     if method not in DESIGN_METHODS:
         raise ParameterError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
+    for key in keys:
+        try:
+            iter(varying[key])
+        except TypeError:
+            raise ParameterError(f"{key} needs a sequence of values, got {varying[key]!r}") from None
     grid = product(*(varying[k] for k in keys))
     return [_evaluate_point(template, dict(zip(keys, combo)), method) for combo in grid]
 
@@ -142,7 +147,7 @@ FIGURES = {
 
 def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
     """Full dataset behind one of the standard figures, an id of ``FIGURES``."""
-    if figure_id not in FIGURES:
+    if not _is_int(figure_id) or figure_id not in FIGURES:
         raise ParameterError(f"unknown figure id {figure_id!r}; expected one of {sorted(FIGURES)}")
     label, grid, sweeps = FIGURES[figure_id]
     rows = [row for template, varying in sweeps for row in sweep(template, varying, method)]
@@ -152,7 +157,7 @@ def figure_dataset(figure_id: int, method: str = "pipeline") -> FigureDataset:
         # rate is still above 1%
         visible = {row.r: row.a for row in rows if row.rate > 0.01}
         metadata["largest_a_with_rate_above_0.01"] = visible
-    return FigureDataset(figure_id, label, rows, metadata)
+    return FigureDataset(int(figure_id), label, rows, metadata)
 
 
 # --- serialization ------------------------------------------------------------

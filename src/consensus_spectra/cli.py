@@ -2,6 +2,8 @@
 
 Subcommands: spectrum, design, simulate, verify, sweep, figure.  Models
 and ``--vary`` values are written in ``topology.parse_model``'s grammar.
+``--method`` takes the ``design.DESIGN_METHODS`` names, which the
+outputs report, and ``--source`` the ``spectral.SpectrumSource`` values.
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on
 computation errors (degenerate extremal pair, unsupported parity,
@@ -25,11 +27,6 @@ from .topology import to_csv, to_json
 # the most points one --vary range may give
 _MAX_RANGE_POINTS = 100_000
 
-_SOURCES = {
-    "closed": spectral.SpectrumSource.CLOSED_FORM,
-    "dft": spectral.SpectrumSource.DFT_ORACLE,
-}
-
 
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
@@ -41,7 +38,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _spectrum(args):
     model = topology.parse_model(args.model)
-    return spectral.full_spectrum(model, source=_SOURCES[args.source])
+    return spectral.full_spectrum(model, source=spectral.SpectrumSource(args.source))
 
 
 def _design(args) -> dict:
@@ -187,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("spectrum", "emit the full Laplacian spectrum")
-    p.add_argument("--source", choices=sorted(_SOURCES), default="closed")
+    p.add_argument("--source", choices=[s.value for s in spectral.SpectrumSource], default="closed")
 
     p = command("design", "best-constant h, gamma and rate")
     p.add_argument("--method", choices=methods, default="pipeline")

@@ -13,8 +13,9 @@ no full spectrum is built).  It then solves
 for the single nonzero real h, and reports the convergence factor
 gamma = |1 - h*lambda_s|.  Only that solve (``solve_h_pair``) refuses a
 model, when the pair's moduli coincide (the 3-node ring).  A
-``ConsensusDesign`` stores h, gamma, the method and the model's pair;
-its ``rate`` R = 1 - gamma is derived.
+``ConsensusDesign`` stores h, gamma, the method (its route's name in
+``DESIGN_METHODS``) and the model's pair; its ``rate`` R = 1 - gamma
+is derived.
 
 A catalog of closed-form expressions covers each topology/parity case
 (even/odd ring, even-even/odd-odd torus, all-even/all-odd m-torus,
@@ -65,12 +66,6 @@ ASSUMPTION_NOTES = (
 )
 
 
-class DesignMethod(enum.Enum):
-    PAIR_SOLVE = "PairSolve"
-    CLOSED_FORM = "ClosedForm"
-    MINIMAX = "Minimax"
-
-
 class ReconciliationTag(enum.Enum):
     IDENTICAL = "Identical"
     OFFSET_BY_ONE = "OffsetByOne"
@@ -79,11 +74,11 @@ class ReconciliationTag(enum.Enum):
 
 @dataclass(frozen=True)
 class ConsensusDesign:
-    """h, gamma, the method and the model's extremal pair."""
+    """h, gamma, the method's ``DESIGN_METHODS`` name and the model's extremal pair."""
 
     h: float
     gamma: float
-    method: DesignMethod
+    method: str
     lambda_s: ComplexEigenvalue
     lambda_l: ComplexEigenvalue
 
@@ -131,7 +126,7 @@ def solve_h_pair(lambda_s: complex, lambda_l: complex) -> float:
     return 2.0 * (lambda_l.real - lambda_s.real) / den
 
 
-def _on_slow_mode(h: float, lam_s, lam_l, method: DesignMethod) -> ConsensusDesign:
+def _on_slow_mode(h: float, lam_s, lam_l, method: str) -> ConsensusDesign:
     """Design with gamma = |1 - h*lambda_s| measured on the pair's slow mode."""
     return ConsensusDesign(h, abs(1.0 - h * lam_s.value), method, lam_s, lam_l)
 
@@ -143,7 +138,7 @@ def design_pipeline(model: NetworkModel) -> ConsensusDesign:
     """
     lam_s, lam_l = factor_extremal_pair(model)
     h = solve_h_pair(lam_s.value, lam_l.value)
-    return _on_slow_mode(h, lam_s, lam_l, DesignMethod.PAIR_SOLVE)
+    return _on_slow_mode(h, lam_s, lam_l, "pipeline")
 
 
 # --- closed-form catalog ------------------------------------------------------
@@ -399,7 +394,7 @@ def _catalog(model: NetworkModel, pipeline: ConsensusDesign) -> tuple[str, float
     args = arguments(model, tuple(sorted(model.shape, reverse=True)))
     h = h_entry(*args)
     if R_entry is None:
-        value = _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM).rate
+        value = _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, "closed").rate
     else:
         value = R_entry(*args)
     return case, h, value
@@ -420,7 +415,7 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     """
     pipeline = design_pipeline(model)
     _, h, _ = _catalog(model, pipeline)
-    return _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, DesignMethod.CLOSED_FORM)
+    return _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, "closed")
 
 
 def _convex_hull(z: np.ndarray) -> np.ndarray:
@@ -524,7 +519,7 @@ def _minimax(model: NetworkModel) -> ConsensusDesign:
     if k and cross[k - 1] > h:
         h = float(cross[k - 1])
     gamma = float(np.max(np.abs(1.0 - h * z)))
-    return ConsensusDesign(h, gamma, DesignMethod.MINIMAX, *factor_extremal_pair(model))
+    return ConsensusDesign(h, gamma, "minimax", *factor_extremal_pair(model))
 
 
 def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
@@ -554,8 +549,8 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
     return _minimax(spectrum.model)
 
 
-# design method name -> model -> design; the names sweeps, figures and
-# the CLI accept
+# design method name -> model -> design, whose ``method`` is that name;
+# the names sweeps, figures and the CLI accept
 DESIGN_METHODS = {
     "pipeline": design_pipeline,
     "closed": closed_design,
@@ -586,7 +581,7 @@ def design_export_dict(
         "h": design.h,
         "gamma": design.gamma,
         "rate": design.rate,
-        "method": design.method.value,
+        "method": design.method,
         "lambda_s": ev_dict(design.lambda_s),
         "lambda_l": ev_dict(design.lambda_l),
         "reconciliation": rec,

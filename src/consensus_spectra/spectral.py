@@ -40,8 +40,8 @@ from .topology import NetworkModel, factor_row, to_csv, to_json
 
 
 class SpectrumSource(enum.Enum):
-    CLOSED_FORM = "ClosedForm"
-    DFT_ORACLE = "DftOracle"
+    CLOSED_FORM = "closed"
+    DFT_ORACLE = "dft"
 
 
 @dataclass(frozen=True)

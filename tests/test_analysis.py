@@ -89,6 +89,31 @@ class TestSweep:
         assert rows_to_csv(rows).splitlines()[1].split(";")[3] == "5"
         assert strict_json(rows_to_jsonl(rows).splitlines()[0])["dims"] == "5"
 
+    def test_zero_dims_point_keeps_its_cell(self):
+        # a falsy dims other than None or () left the cell blank beside
+        # the message that names it
+        rows = sweep(torus((3, 4)), {"dims": [0, ()]})
+        assert [row.error for row in rows] == [
+            "ParameterError: torus needs at least 2 dimensions, got dims=0",
+            "ParameterError: torus needs at least 2 dimensions, got dims=()",
+        ]
+        cells = [line.split(";")[3] for line in rows_to_csv(rows).splitlines()[1:]]
+        assert cells == ["0", ""]
+        assert [strict_json(line)["dims"] for line in rows_to_jsonl(rows).splitlines()] == ["0", ""]
+
+    @pytest.mark.parametrize(
+        "varying, key", [({"a": 0.3}, "a"), ({"n": 8}, "n"), ({"n": [8], "dims": None}, "dims")]
+    )
+    def test_non_iterable_values_raise(self, varying, key):
+        # a scalar used to escape from itertools.product as a bare TypeError
+        with pytest.raises(ParameterError, match=rf"^{key} needs a sequence of values, got "):
+            sweep(ring(8), varying)
+
+    def test_string_values_are_one_point_each(self):
+        rows = sweep(ring(8), {"a": "01"})
+        assert [row.a for row in rows] == ["0", "1"]
+        assert all(row.error.startswith("ParameterError") for row in rows)
+
     def test_unknown_field_raises(self):
         with pytest.raises(ParameterError, match=r"cannot vary \['x'\]"):
             sweep(ring(8), {"x": [1]})
@@ -191,6 +216,16 @@ class TestFigureDatasets:
     def test_unknown_figure(self):
         with pytest.raises(ParameterError, match=r"unknown figure id 8; expected one of \[3, 4, 5, 6, 7\]"):
             figure_dataset(8)
+
+    @pytest.mark.parametrize("figure_id", [3.0, np.float64(6), "3", True, None])
+    def test_only_an_integer_names_a_figure(self, figure_id):
+        # 3.0 == 3 used to pass and name the file fig3.0_ring_rates.csv
+        with pytest.raises(ParameterError, match=r"unknown figure id .*; expected one of \[3, 4, 5, 6, 7\]"):
+            figure_dataset(figure_id)
+
+    def test_integral_figure_id_is_stored_as_int(self):
+        ds = figure_dataset(np.int64(6))
+        assert type(ds.figure_id) is int and ds.filename == "fig6_dimension.csv"
 
     @pytest.mark.parametrize(
         "figure_id, method, metadata",

@@ -35,7 +35,7 @@ class TestDesignCommand:
         payload = json.loads(out)
         assert payload["h"] == pytest.approx(0.727273, abs=1e-6)
         assert payload["rate"] == pytest.approx(0.545455, abs=1e-6)
-        assert payload["method"] == "PairSolve"
+        assert payload["method"] == "pipeline"
         assert payload["reconciliation"]["tag"] == "Identical"
         assert payload["assumptions"]
 
@@ -65,7 +65,7 @@ class TestDesignCommand:
         code, out, _ = invoke(capsys, "design", "--model", "ring:n=3,a=0.3", "--method", "minimax")
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "Minimax"
+        assert payload["method"] == "minimax"
         assert payload["lambda_s"] == payload["lambda_l"]
         assert payload["lambda_s"]["index"] == [1]
         assert payload["reconciliation"] is None
@@ -75,7 +75,7 @@ class TestDesignCommand:
         code, out, _ = invoke(capsys, "design", "--model", "torus:dims=4x5,a=0.3")
         assert code == 0
         payload = json.loads(out)
-        assert payload["method"] == "PairSolve"
+        assert payload["method"] == "pipeline"
         assert payload["reconciliation"] is None
         assert payload["lambda_s"]["index"] == [0, 1]
 
@@ -85,7 +85,7 @@ class TestDesignCommand:
         header, row = out.splitlines()
         assert header == "model;h;gamma;rate;method"
         fields = row.split(";")
-        assert fields[0] == "ring:n=4,a=0.5" and fields[-1] == "PairSolve"
+        assert fields[0] == "ring:n=4,a=0.5" and fields[-1] == "pipeline"
         assert float(fields[1]) == pytest.approx(8 / 11, abs=1e-12)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -103,7 +103,7 @@ class TestDesignCommand:
         _, out, _ = invoke(capsys, "design", "--model", "ring:n=4,a=0.5", "--format", "csv")
         assert out == (
             "model;h;gamma;rate;method\n"
-            "ring:n=4,a=0.5;0.7272727272727272;0.45454545454545464;0.5454545454545454;PairSolve\n"
+            "ring:n=4,a=0.5;0.7272727272727272;0.45454545454545464;0.5454545454545454;pipeline\n"
         )
 
     def test_model_string_round_trips(self, capsys):
@@ -125,7 +125,7 @@ GOLDEN = {
   "h": 0.35936677061567657,
   "gamma": 0.4643188962934802,
   "rate": 0.5356811037065198,
-  "method": "PairSolve",
+  "method": "pipeline",
   "lambda_s": {
     "index": [
       1
@@ -161,7 +161,7 @@ GOLDEN = {
   "h": 0.6472491909385114,
   "gamma": 0.17066403719657233,
   "rate": 0.8293359628034277,
-  "method": "Minimax",
+  "method": "minimax",
   "lambda_s": {
     "index": [
       1
@@ -192,7 +192,7 @@ GOLDEN = {
   "h": 0.6666666666666667,
   "gamma": 4.440892098500626e-16,
   "rate": 0.9999999999999996,
-  "method": "Minimax",
+  "method": "minimax",
   "lambda_s": {
     "index": [
       1
@@ -223,7 +223,7 @@ GOLDEN = {
   "h": 0.3572801488114595,
   "gamma": 0.759993009873997,
   "rate": 0.24000699012600302,
-  "method": "PairSolve",
+  "method": "pipeline",
   "lambda_s": {
     "index": [
       0,
