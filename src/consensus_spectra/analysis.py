@@ -87,6 +87,8 @@ def sweep(template: NetworkModel, varying: dict, method: str = "pipeline") -> li
         raise ParameterError(f"unknown method {method!r}; expected {', '.join(DESIGN_METHODS)}")
     for key in keys:
         try:
+            if isinstance(varying[key], str):  # iterable, but by character
+                raise TypeError
             iter(varying[key])
         except TypeError:
             raise ParameterError(f"{key} needs a sequence of values, got {varying[key]!r}") from None

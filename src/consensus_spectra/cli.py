@@ -7,10 +7,10 @@ outputs report, and ``--source`` the ``spectral.SpectrumSource`` values.
 
 Exit status: 0 on success, 1 on usage or validation errors, 2 on
 computation errors (degenerate extremal pair, unsupported parity,
-divergence).  A usage error prints argparse's usage block and its
-``error:`` line on stderr; any other error, an ``--out`` that cannot be
-written included, prints one machine-parsable line there.  Each
-subcommand offers the formats of its writers in ``_COMMANDS``.
+divergence, out of memory).  A usage error prints argparse's usage
+block and its ``error:`` line on stderr; any other error, an ``--out``
+that cannot be written included, prints one machine-parsable line
+there.  Each subcommand offers the formats of its writers in ``_COMMANDS``.
 """
 
 from __future__ import annotations
@@ -222,9 +222,11 @@ def run(argv=None) -> int:
         result = produce(args)
         if result is not None:
             _emit(writers[args.format](result), args.out)
-    except (ConsensusSpectraError, OSError) as exc:
+    except (ConsensusSpectraError, OSError, MemoryError) as exc:
         if isinstance(exc, OSError):  # the output, --out or stdout, cannot be written
             exc = ParameterError(f"cannot write the output: {exc}")
+        elif isinstance(exc, MemoryError):  # numpy raises a private subclass
+            exc = MemoryError(str(exc))
         sys.stderr.write(f"error type={type(exc).__name__} message={str(exc)!r}\n")
         return 1 if isinstance(exc, ParameterError) else 2
     return 0

@@ -367,40 +367,35 @@ def verify_consensus(
     gamma = design.gamma
     for trial in range(trials):
         trial_seed = int(seed) + trial
-        if unrun:
-            results.append(TrialResult(trial, trial_seed, math.nan, gamma, False, unrun))
-            continue
-        x0 = uniform_vector(trial_seed, model.order)
-        note = ""
-        passed = True
-        empirical = math.nan
-        try:
+        note, empirical = unrun, math.nan
+        if not unrun:
+            x0 = uniform_vector(trial_seed, model.order)
             # stop once the error loses 12 decades: past that point the
             # state is within float rounding of the fixed point and the
             # ratio estimate would only see noise
             initial_error = float(np.linalg.norm(x0 - x0.mean()))
-            trace = run_consensus(
-                model,
-                design.h,
-                x0,
-                max_steps=DEFAULT_WARMUP + DEFAULT_WINDOW + 1,
-                tolerance=max(1e-12 * initial_error, 1e-300),
-            )
-            drift = np.max(np.abs(trace.averages - trace.averages[0]))
-            if drift > 1e-12 * np.linalg.norm(x0):
-                passed = False
-                note = f"average drifted by {drift:.3e}"
-            empirical = trace.empirical_factor
-            if gamma < 1.0 and not trace.converged and trace.error_norms[-1] >= trace.error_norms[0]:
-                passed = False
-                note = note or "no contraction despite gamma < 1"
-            if abs(empirical - gamma) > max(0.01, 0.02 * gamma):
-                passed = False
-                note = note or f"empirical factor {empirical:.6f} vs gamma {gamma:.6f}"
-        except DivergenceError as exc:
-            passed = False
-            note = f"diverged: {exc}"
-        results.append(TrialResult(trial, trial_seed, empirical, gamma, passed, note))
+            try:
+                trace = run_consensus(
+                    model,
+                    design.h,
+                    x0,
+                    max_steps=DEFAULT_WARMUP + DEFAULT_WINDOW + 1,
+                    tolerance=max(1e-12 * initial_error, 1e-300),
+                )
+            except DivergenceError as exc:
+                note = f"diverged: {exc}"
+            else:
+                # the note names the first failed check
+                drift = np.max(np.abs(trace.averages - trace.averages[0]))
+                stalled = not trace.converged and trace.error_norms[-1] >= trace.error_norms[0]
+                empirical = trace.empirical_factor
+                if drift > 1e-12 * np.linalg.norm(x0):
+                    note = f"average drifted by {drift:.3e}"
+                elif gamma < 1.0 and stalled:
+                    note = "no contraction despite gamma < 1"
+                elif abs(empirical - gamma) > max(0.01, 0.02 * gamma):
+                    note = f"empirical factor {empirical:.6f} vs gamma {gamma:.6f}"
+        results.append(TrialResult(trial, trial_seed, empirical, gamma, not note, note))
     return results
 
 

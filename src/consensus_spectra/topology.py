@@ -78,14 +78,13 @@ def _normalised(n, r, dims, a) -> dict:
 class NetworkModel:
     """Topology descriptor plus the asymmetric link factor.
 
-    Exactly one of the size fields is meaningful per kind: ``n`` for
-    RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.  A model
-    is validated once, when built (``dataclasses.replace`` included), so
-    no invalid model exists and no other layer validates again.
-
-    ``factors`` holds the (side, radius) of each circulant factor, one
-    per side of ``shape``, with radius r, or 1 where the kind has no r.
-    It is set once, when the model is built.
+    The kind's ``_KIND_FIELDS`` row names the fields it stores: ``n`` for
+    RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.
+    ``factors`` holds the (side, radius) of each circulant factor: each
+    side of ``dims``, or ``n``, with radius ``r``, or 1 where the kind has
+    no r.  ``validate``'s checks derive it once, when the model is built
+    (``dataclasses.replace`` included), so no invalid model exists and no
+    other layer validates again.
     """
 
     kind: Kind
@@ -97,11 +96,9 @@ class NetworkModel:
     def __post_init__(self):
         for field, value in _normalised(self.n, self.r, self.dims, self.a).items():
             object.__setattr__(self, field, value)
-        validate(self)
         # a plain attribute, not a field: equality, hashing and repr read
         # the fields alone
-        radius = self.r or 1
-        object.__setattr__(self, "factors", tuple([(k, radius) for k in self.shape]))
+        object.__setattr__(self, "factors", _factors(self))
 
     @property
     def order(self) -> int:
@@ -132,7 +129,8 @@ def torus(dims, a: float = 0.0) -> NetworkModel:
 
 
 FIELDS = ("n", "r", "dims", "a")
-# the fields a model of each kind stores, in the grammar's order
+# the fields a model of each kind stores, in the grammar's order; validate
+# reads the sides from dims, else n, and the radius from r, else 1
 _KIND_FIELDS = {
     Kind.RING: ("n", "a"),
     Kind.R_NEAREST_RING: ("n", "r", "a"),
@@ -141,44 +139,47 @@ _KIND_FIELDS = {
 
 
 def validate(model: NetworkModel) -> NetworkModel:
-    """Return ``model`` unchanged if all its invariants hold.
-
-    Raises ParameterError naming the violated constraint otherwise.
-    ``NetworkModel.__post_init__`` runs it, so every built model passes.
+    """Return ``model`` unchanged if all its invariants hold, else raise
+    ParameterError naming the first one broken: a finite a in [0, 1], a
+    kind of ``_KIND_FIELDS`` and no field outside its row, then one size
+    rule for every kind: each side (``dims``, or ``(n,)``) an integer
+    >= 2r + 1, with r the ``r`` field (an integer >= 1) or 1.
+    ``NetworkModel.__post_init__`` runs the same checks.
     """
+    _factors(model)
+    return model
+
+
+def _factors(model: NetworkModel) -> tuple[tuple[int, int], ...]:
+    """The (side, radius) of each circulant factor of a valid ``model``."""
     a = model.a
     if not (isinstance(a, float) and math.isfinite(a)):
         raise ParameterError(f"asymmetric factor a must be a finite real, got {a!r}")
     if not 0.0 <= a <= 1.0:
         raise ParameterError(f"asymmetric factor a={a} outside [0, 1]")
-
-    if model.kind is Kind.RING:
-        n = model.n
-        if not _is_int(n) or n < 3:
-            raise ParameterError(f"ring needs integer n >= 3, got n={n}")
-    elif model.kind is Kind.R_NEAREST_RING:
-        n, r = model.n, model.r
-        if not _is_int(r) or r < 1:
-            raise ParameterError(f"r-nearest ring needs integer r >= 1, got r={r}")
-        if not _is_int(n) or n < 2 * r + 1:
-            raise ParameterError(
-                f"r-nearest ring needs n >= 2r + 1 = {2 * r + 1} so the two "
-                f"neighbor arcs stay disjoint, got n={n}"
-            )
-    elif model.kind is Kind.TORUS:
-        dims = model.dims
-        if not isinstance(dims, tuple) or len(dims) < 2:
-            raise ParameterError(f"torus needs at least 2 dimensions, got dims={dims}")
-        for i, k in enumerate(dims):
-            if not _is_int(k) or k < 3:
-                raise ParameterError(f"torus needs every k_i an integer >= 3, got k_{i + 1}={k}")
-    else:
-        raise ParameterError(f"unknown kind {model.kind!r}")
+    kind = model.kind
+    try:
+        fields = _KIND_FIELDS[kind]
+    except (KeyError, TypeError):
+        raise ParameterError(f"unknown kind {kind!r}") from None
     for field in FIELDS:
         value = getattr(model, field)
-        if value is not None and field not in _KIND_FIELDS[model.kind]:
-            raise ParameterError(f"{model.kind.value} takes no {field}, got {field}={value}")
-    return model
+        if value is not None and field not in fields:
+            raise ParameterError(f"{kind.value} takes no {field}, got {field}={value}")
+    sides = model.dims if "dims" in fields else (model.n,)
+    if "dims" in fields and not (isinstance(sides, tuple) and len(sides) >= 2):
+        raise ParameterError(f"{kind.value} needs at least 2 dimensions, got dims={sides}")
+    radius = model.r if "r" in fields else 1
+    if not _is_int(radius) or radius < 1:
+        raise ParameterError(f"{kind.value} needs integer r >= 1, got r={radius}")
+    for i, side in enumerate(sides):
+        if not _is_int(side) or side < 2 * radius + 1:
+            name = f"k_{i + 1}" if "dims" in fields else "n"
+            raise ParameterError(
+                f"{kind.value} needs every side an integer >= 2r + 1 = {2 * radius + 1}, "
+                f"so the two neighbor arcs stay disjoint, got {name}={side}"
+            )
+    return tuple([(side, radius) for side in sides])
 
 
 def link_weights(a: float) -> tuple[float, float]:

@@ -71,7 +71,10 @@ class TestSweep:
         # Python ints, -0.0 as 0.0
         rows = sweep(torus((3, 4), -0.0), {"dims": [(np.int64(5), 2), (5, 3)]})
         bad, good = rows
-        assert bad.error == "ParameterError: torus needs every k_i an integer >= 3, got k_2=2"
+        assert bad.error == (
+            "ParameterError: torus needs every side an integer >= 2r + 1 = 3, "
+            "so the two neighbor arcs stay disjoint, got k_2=2"
+        )
         assert (bad.kind, bad.n, bad.r, bad.dims) == ("torus", None, None, (5, 2))
         assert all(type(k) is int for k in bad.dims)
         assert math.copysign(1.0, bad.a) == 1.0
@@ -109,10 +112,17 @@ class TestSweep:
         with pytest.raises(ParameterError, match=rf"^{key} needs a sequence of values, got "):
             sweep(ring(8), varying)
 
-    def test_string_values_are_one_point_each(self):
-        rows = sweep(ring(8), {"a": "01"})
-        assert [row.a for row in rows] == ["0", "1"]
-        assert all(row.error.startswith("ParameterError") for row in rows)
+    @pytest.mark.parametrize(
+        "varying, shown",
+        [({"a": "0.3"}, "'0.3'"), ({"dims": "35"}, "'35'"), ({"n": [8], "a": ""}, "''")],
+        ids=["a", "dims", "empty-a"],
+    )
+    def test_string_values_raise(self, varying, shown):
+        # a str is iterable, but its characters are no values: it used to
+        # give one error row per character
+        key = list(varying)[-1]
+        with pytest.raises(ParameterError, match=rf"^{key} needs a sequence of values, got {shown}$"):
+            sweep(torus((3, 4)) if key == "dims" else ring(8), varying)
 
     def test_unknown_field_raises(self):
         with pytest.raises(ParameterError, match=r"cannot vary \['x'\]"):

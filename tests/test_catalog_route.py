@@ -11,9 +11,8 @@ beside them.
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "consensus_spectra"
+from source_walk import sites
 
 # (module, top-level name) of each place that reads the table, names an
 # entry, or evaluates the catalog
@@ -32,33 +31,20 @@ def _loads(node, test) -> bool:
     return isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and test(node.attr)
 
 
-def _scope_name(statement) -> str:
-    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-        return statement.name
-    if isinstance(statement, ast.Assign):
-        return ",".join(ast.unparse(target) for target in statement.targets)
-    return ast.unparse(statement).splitlines()[0]
-
-
-def sites(test) -> set:
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for statement in ast.parse(path.read_text()).body:
-            if any(_loads(node, test) for node in ast.walk(statement)):
-                found.add((path.stem, _scope_name(statement)))
-    return found
+def loaders(test) -> set:
+    return sites(lambda node: _loads(node, test))
 
 
 def test_only_the_catalog_function_reads_the_table():
-    assert sites(lambda name: name == "_CATALOG") == TABLE_READERS
+    assert loaders(lambda name: name == "_CATALOG") == TABLE_READERS
 
 
 def test_only_the_table_names_an_entry():
-    assert sites(_is_entry) == ENTRY_NAMERS
+    assert loaders(_is_entry) == ENTRY_NAMERS
 
 
 def test_only_the_closed_routes_evaluate_the_catalog():
-    assert sites(lambda name: name == "_catalog") == CATALOG_CALLERS
+    assert loaders(lambda name: name == "_catalog") == CATALOG_CALLERS
 
 
 def test_the_walk_sees_each_form():

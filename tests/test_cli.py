@@ -58,6 +58,14 @@ class TestDesignCommand:
         assert code == 2
         assert "UnsupportedParityError" in err
 
+    def test_model_too_large_to_tabulate_exit_2(self, capsys):
+        # its first table asks for 6.94 EiB, more than any 64-bit user
+        # address space holds, so numpy refuses it without allocating
+        code, out, err = invoke(capsys, "design", "--model", f"ring:n={10**18},a=0.3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error type=MemoryError message='Unable to allocate 6.94 EiB")
+        assert err.count("\n") == 1
+
     def test_minimax_with_a_degenerate_pair(self, capsys):
         # the 3-ring's pair has equal moduli, so neither the pair design nor
         # the catalog reconciliation exists; minimax still solves and

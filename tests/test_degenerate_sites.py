@@ -10,9 +10,8 @@ beside the solve.
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "consensus_spectra"
+from source_walk import sites
 
 # (module, top-level name) of each place that raises or catches it
 RAISERS = {("design", "solve_h_pair")}
@@ -37,16 +36,6 @@ def _catches(node) -> bool:
         and node.type is not None
         and _names_degenerate(node.type)
     )
-
-
-def sites(test) -> set:
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for statement in ast.parse(path.read_text()).body:
-            if any(test(node) for node in ast.walk(statement)):
-                name = getattr(statement, "name", None) or ast.unparse(statement).splitlines()[0]
-                found.add((path.stem, name))
-    return found
 
 
 def test_only_the_equal_modulus_solve_raises():

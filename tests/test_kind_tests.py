@@ -10,15 +10,12 @@ item 10's list).
 """
 
 import ast
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "consensus_spectra"
+from source_walk import sites
 
-# (module, top-level name) of each place allowed to test the kind
-KIND_TESTS = {
-    ("topology", "validate"),
-    ("topology", "_KIND_FIELDS"),
-}
+# (module, top-level name) of each place allowed to test the kind: the
+# grammar's field table alone
+KIND_TESTS = {("topology", "_KIND_FIELDS")}
 
 
 def _is_kind_member(node) -> bool:
@@ -34,25 +31,8 @@ def _tests_kind(node) -> bool:
     return isinstance(node, ast.Dict) and any(_is_kind_member(key) for key in node.keys)
 
 
-def _scope_name(statement) -> str:
-    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
-        return statement.name
-    if isinstance(statement, ast.Assign):
-        return ",".join(ast.unparse(target) for target in statement.targets)
-    return ast.unparse(statement).splitlines()[0]
-
-
-def kind_tests() -> set:
-    found = set()
-    for path in sorted(SRC.glob("*.py")):
-        for statement in ast.parse(path.read_text()).body:
-            if any(_tests_kind(node) for node in ast.walk(statement)):
-                found.add((path.stem, _scope_name(statement)))
-    return found
-
-
 def test_kind_is_tested_only_in_the_pinned_places():
-    assert kind_tests() == KIND_TESTS
+    assert sites(_tests_kind) == KIND_TESTS
 
 
 def test_the_walk_sees_each_form_of_kind_test():

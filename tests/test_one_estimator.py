@@ -10,11 +10,9 @@ its own window cannot creep in beside the trace's factor.
 
 import ast
 import importlib
-from pathlib import Path
 
 import consensus_spectra
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "consensus_spectra"
+from source_walk import SRC
 
 # (module, qualified name) of each place that calls the estimator
 CALLERS = {("simulate", "SimulationTrace.empirical_factor")}

@@ -36,6 +36,26 @@ from laplacian_reference import reference_laplacian
 
 GRID = [model for a in A_GRID for model in grid_models(a)]
 
+# (id, radius, the stored fields of a model whose first short side is
+# ``side``, that side's name in the message): every spelling of a factor
+SPELLINGS = [
+    ("ring", 1, lambda side: dict(kind=Kind.RING, n=side), "n"),
+    *[
+        (f"rnearest-r{r}", r, lambda side, r=r: dict(kind=Kind.R_NEAREST_RING, n=side, r=r), "n")
+        for r in range(1, 5)
+    ],
+    *[
+        (
+            f"torus-{m}d-axis{i + 1}",
+            1,
+            lambda side, m=m, i=i: dict(kind=Kind.TORUS, dims=tuple(side if j == i else 4 for j in range(m))),
+            f"k_{i + 1}",
+        )
+        for m in (2, 3)
+        for i in range(m)
+    ],
+]
+
 
 def _reference_text(model):
     # the grammar's text, written out kind by kind
@@ -131,7 +151,8 @@ class TestValidate:
                 dict(kind=Kind.R_NEAREST_RING, a=0.0, n=6, r=3),
                 lambda: r_nearest_ring(6, 3, 0.0),
                 "rnearest:n=6,r=3,a=0.0",
-                "r-nearest ring needs n >= 2r + 1 = 7 so the two neighbor arcs stay disjoint, got n=6",
+                "rnearest needs every side an integer >= 2r + 1 = 7, so the two neighbor arcs stay "
+                "disjoint, got n=6",
             ),
             (
                 dict(kind=Kind.RING, a=1.2, n=4),
@@ -149,13 +170,15 @@ class TestValidate:
                 dict(kind=Kind.RING, a=0.0, n=2),
                 lambda: ring(2, 0.0),
                 "ring:n=2,a=0.0",
-                "ring needs integer n >= 3, got n=2",
+                "ring needs every side an integer >= 2r + 1 = 3, so the two neighbor arcs stay "
+                "disjoint, got n=2",
             ),
             (
                 dict(kind=Kind.TORUS, a=0.0, dims=(4, 2)),
                 lambda: torus((4, 2), 0.0),
                 "torus:dims=4x2,a=0.0",
-                "torus needs every k_i an integer >= 3, got k_2=2",
+                "torus needs every side an integer >= 2r + 1 = 3, so the two neighbor arcs stay "
+                "disjoint, got k_2=2",
             ),
             (
                 dict(kind=Kind.TORUS, a=0.0, dims=(5,)),
@@ -176,7 +199,8 @@ class TestValidate:
                 dict(kind=Kind.TORUS, a=0.0, dims="345"),
                 lambda: torus("345", 0.0),
                 None,
-                "torus needs every k_i an integer >= 3, got k_1=3",
+                "torus needs every side an integer >= 2r + 1 = 3, so the two neighbor arcs stay "
+                "disjoint, got k_1=3",
             ),
         ],
         ids=[
@@ -214,6 +238,47 @@ class TestValidate:
             with pytest.raises(ParameterError) as raised:
                 route()
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "radius, fields, name", [spelling[1:] for spelling in SPELLINGS], ids=[s[0] for s in SPELLINGS]
+    )
+    def test_one_size_rule_for_every_spelling(self, radius, fields, name):
+        # side 2r + 1 (the factor's complete digraph) builds, side 2r fails
+        # with the one message through every route
+        good = NetworkModel(a=0.3, **fields(2 * radius + 1))
+        assert good.factors == tuple((k, radius) for k in good.shape)
+        assert min(good.shape) == 2 * radius + 1
+        bad = fields(2 * radius)
+        spec = ",".join(f"{k}={format_field(k, v)}" for k, v in bad.items() if k != "kind")
+        message = (
+            f"{bad['kind'].value} needs every side an integer >= 2r + 1 = {2 * radius + 1}, "
+            f"so the two neighbor arcs stay disjoint, got {name}={2 * radius}"
+        )
+        routes = [
+            lambda: NetworkModel(a=0.3, **bad),
+            lambda: dataclasses.replace(good, **bad),
+            lambda: parse_model(f"{bad['kind'].value}:{spec},a=0.3"),
+        ]
+        for route in routes:
+            with pytest.raises(ParameterError) as raised:
+                route()
+            assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(kind=Kind.RING, n=2, r=3), "ring takes no r, got r=3"),
+            (dict(kind=Kind.R_NEAREST_RING, n=4, r=0, dims=(3, 4)), "rnearest takes no dims, got dims=(3, 4)"),
+            (dict(kind=Kind.TORUS, dims=(2,), n=4), "torus takes no n, got n=4"),
+        ],
+        ids=["ring", "rnearest", "torus"],
+    )
+    def test_a_stray_field_is_named_before_the_size_rule(self, fields, message):
+        # each model also breaks the size rule; the field its kind does not
+        # store is reported first, as the grammar does
+        with pytest.raises(ParameterError) as raised:
+            NetworkModel(a=0.3, **fields)
+        assert str(raised.value) == message
 
     def test_grammar_reports_a_stray_field_before_the_constraint_it_breaks(self):
         # ring:n=2 alone breaks n >= 3; the stray r is named first
@@ -462,7 +527,11 @@ class TestModelGrammar:
                     "invalid literal for int() with base 10: 'four'",
                 ),
                 ("ring:n=4,a=0.5,z=2", "unexpected fields ['z'] in model spec 'ring:n=4,a=0.5,z=2'"),
-                ("ring:n=2,a=0.0", "ring needs integer n >= 3, got n=2"),
+                (
+                    "ring:n=2,a=0.0",
+                    "ring needs every side an integer >= 2r + 1 = 3, so the two neighbor arcs "
+                    "stay disjoint, got n=2",
+                ),
                 # a field given twice is named, not silently overwritten
                 ("ring:n=8,n=9,a=0.3", "repeated field 'n' in model spec 'ring:n=8,n=9,a=0.3'"),
                 (
