@@ -63,7 +63,6 @@ from .topology import (
     r_nearest_ring,
     ring,
     torus,
-    validate,
 )
 
 __version__ = "0.1.0"

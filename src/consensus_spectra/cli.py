@@ -99,14 +99,11 @@ def _parse_vary(specs: list[str]) -> dict:
                     raise ParameterError(f"range bounds and step must be finite in {spec!r}")
                 if step <= 0:
                     raise ParameterError(f"range step must be positive in {spec!r}")
-                too_many = f"--vary {spec!r} gives more than {_MAX_RANGE_POINTS} points"
-                if (stop + 1e-12 - start) / step >= _MAX_RANGE_POINTS:
-                    raise ParameterError(too_many)
                 values = []
                 v = start
                 while v <= stop + 1e-12:
-                    if len(values) == _MAX_RANGE_POINTS:  # v + step rounded back to v
-                        raise ParameterError(too_many)
+                    if len(values) == _MAX_RANGE_POINTS:  # too long, or v + step rounded to v
+                        raise ParameterError(f"--vary {spec!r} gives more than {_MAX_RANGE_POINTS} points")
                     value = round(v, 12)
                     # an integral point is written as an int, as n and r need
                     token = str(int(value)) if value.is_integer() else repr(value)

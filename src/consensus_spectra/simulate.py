@@ -45,7 +45,7 @@ import numpy as np
 
 from .design import ConsensusDesign
 from .errors import DivergenceError, ParameterError
-from .topology import NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
+from .topology import _MAX_TABLE, NetworkModel, _is_int, factor_row, link_weights, to_csv, to_json
 
 _DIVERGENCE_FACTOR = 1e6
 DEFAULT_WARMUP = 100
@@ -104,10 +104,12 @@ def uniform_vector(seed: int, size: int) -> np.ndarray:
     Bit-identical to drawing ``size`` values from ``splitmix64(seed)``:
     the k-th state is seed + k * gamma, and uint64 arrays wrap modulo
     2**64 exactly as the masked scalar arithmetic does.  Raises
-    ParameterError unless seed is an integer and size a non-negative one.
+    ParameterError unless seed is an integer and size one in [0, 2**60 - 1].
     """
     if not (_is_int(seed) and _is_int(size) and size >= 0):
         raise ParameterError(f"need an integer seed and an integer size >= 0, got {seed!r}, {size!r}")
+    if size > _MAX_TABLE:
+        raise ParameterError(f"size {size} exceeds {_MAX_TABLE}, the longest table numpy can index")
     k = np.arange(1, size + 1, dtype=np.uint64)
     z = k * np.uint64(_GOLDEN_GAMMA) + np.uint64(int(seed) & _MASK64)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -348,9 +350,10 @@ def verify_consensus(
     asserts average preservation, convergence when gamma < 1, and that
     the contraction measured over the last ``DEFAULT_WINDOW`` steps is
     within max(0.01, 0.02 * gamma) of the design gamma.  Failures become
-    report entries, they do not raise: a design whose h is not positive
-    and finite, which ``run_consensus`` rejects, fails every trial unrun,
-    as a diverging one fails at run time.
+    report entries, they do not raise: a trial whose ``run_consensus``
+    raises ParameterError (an h that is not positive and finite) fails
+    with the note ``not run: <message>``, as a diverging one fails with
+    ``diverged: <message>``.
     """
     if not (_is_int(trials) and _is_int(seed)):
         raise ParameterError(
@@ -358,43 +361,39 @@ def verify_consensus(
         )
     if trials < 1:
         raise ParameterError("need at least one trial")
-    unrun = ""
-    if not math.isfinite(design.h):
-        unrun = f"non-finite design: h={design.h}"
-    elif design.h <= 0:
-        unrun = f"non-contracting design: h={design.h:.6g} <= 0"
     results = []
     gamma = design.gamma
     for trial in range(trials):
         trial_seed = int(seed) + trial
-        note, empirical = unrun, math.nan
-        if not unrun:
-            x0 = uniform_vector(trial_seed, model.order)
-            # stop once the error loses 12 decades: past that point the
-            # state is within float rounding of the fixed point and the
-            # ratio estimate would only see noise
-            initial_error = float(np.linalg.norm(x0 - x0.mean()))
-            try:
-                trace = run_consensus(
-                    model,
-                    design.h,
-                    x0,
-                    max_steps=DEFAULT_WARMUP + DEFAULT_WINDOW + 1,
-                    tolerance=max(1e-12 * initial_error, 1e-300),
-                )
-            except DivergenceError as exc:
-                note = f"diverged: {exc}"
-            else:
-                # the note names the first failed check
-                drift = np.max(np.abs(trace.averages - trace.averages[0]))
-                stalled = not trace.converged and trace.error_norms[-1] >= trace.error_norms[0]
-                empirical = trace.empirical_factor
-                if drift > 1e-12 * np.linalg.norm(x0):
-                    note = f"average drifted by {drift:.3e}"
-                elif gamma < 1.0 and stalled:
-                    note = "no contraction despite gamma < 1"
-                elif abs(empirical - gamma) > max(0.01, 0.02 * gamma):
-                    note = f"empirical factor {empirical:.6f} vs gamma {gamma:.6f}"
+        note, empirical = "", math.nan
+        x0 = uniform_vector(trial_seed, model.order)
+        # stop once the error loses 12 decades: past that point the
+        # state is within float rounding of the fixed point and the
+        # ratio estimate would only see noise
+        initial_error = float(np.linalg.norm(x0 - x0.mean()))
+        try:
+            trace = run_consensus(
+                model,
+                design.h,
+                x0,
+                max_steps=DEFAULT_WARMUP + DEFAULT_WINDOW + 1,
+                tolerance=max(1e-12 * initial_error, 1e-300),
+            )
+        except ParameterError as exc:
+            note = f"not run: {exc}"
+        except DivergenceError as exc:
+            note = f"diverged: {exc}"
+        else:
+            # the note names the first failed check
+            drift = np.max(np.abs(trace.averages - trace.averages[0]))
+            stalled = not trace.converged and trace.error_norms[-1] >= trace.error_norms[0]
+            empirical = trace.empirical_factor
+            if drift > 1e-12 * np.linalg.norm(x0):
+                note = f"average drifted by {drift:.3e}"
+            elif gamma < 1.0 and stalled:
+                note = "no contraction despite gamma < 1"
+            elif abs(empirical - gamma) > max(0.01, 0.02 * gamma):
+                note = f"empirical factor {empirical:.6f} vs gamma {gamma:.6f}"
         results.append(TrialResult(trial, trial_seed, empirical, gamma, not note, note))
     return results
 

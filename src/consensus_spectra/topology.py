@@ -46,7 +46,7 @@ class Kind(enum.Enum):
 
 def _is_int(v) -> bool:
     # stored sizes are plain ints, tested first: the ABC check costs about
-    # a microsecond, and validate runs on every model built
+    # a microsecond, and the size rule runs on every model built
     return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
@@ -60,7 +60,7 @@ def _normalised(n, r, dims, a) -> dict:
     # a bool as the Python float it equals (adding 0.0 turns -0.0 into
     # 0.0), so numpy values print, export and compare like Python ones;
     # a real beyond the float range becomes the infinity of its sign, and
-    # other values, a non-iterable dims too, are left for validate to reject
+    # other values, a non-iterable dims too, are left for _factors to reject
     if dims is not None:
         try:
             dims = tuple(_as_int(k) for k in dims)
@@ -82,9 +82,11 @@ class NetworkModel:
     RING, ``n`` and ``r`` for R_NEAREST_RING, ``dims`` for TORUS.
     ``factors`` holds the (side, radius) of each circulant factor: each
     side of ``dims``, or ``n``, with radius ``r``, or 1 where the kind has
-    no r.  ``validate``'s checks derive it once, when the model is built
-    (``dataclasses.replace`` included), so no invalid model exists and no
-    other layer validates again.
+    no r.  Building the model, ``dataclasses.replace`` included, derives
+    it once and raises ParameterError at the first broken invariant (a
+    finite a in [0, 1], a kind of ``_KIND_FIELDS`` with no field outside
+    its row, each side an integer in [2r + 1, ``_MAX_TABLE``]), so no
+    invalid model exists and no other layer validates again.
     """
 
     kind: Kind
@@ -129,25 +131,17 @@ def torus(dims, a: float = 0.0) -> NetworkModel:
 
 
 FIELDS = ("n", "r", "dims", "a")
-# the fields a model of each kind stores, in the grammar's order; validate
-# reads the sides from dims, else n, and the radius from r, else 1
+# the fields a model of each kind stores, in the grammar's order; the size
+# rule reads the sides from dims, else n, and the radius from r, else 1
 _KIND_FIELDS = {
     Kind.RING: ("n", "a"),
     Kind.R_NEAREST_RING: ("n", "r", "a"),
     Kind.TORUS: ("dims", "a"),
 }
 
-
-def validate(model: NetworkModel) -> NetworkModel:
-    """Return ``model`` unchanged if all its invariants hold, else raise
-    ParameterError naming the first one broken: a finite a in [0, 1], a
-    kind of ``_KIND_FIELDS`` and no field outside its row, then one size
-    rule for every kind: each side (``dims``, or ``(n,)``) an integer
-    >= 2r + 1, with r the ``r`` field (an integer >= 1) or 1.
-    ``NetworkModel.__post_init__`` runs the same checks.
-    """
-    _factors(model)
-    return model
+# the longest float64 table numpy can index (2**60 - 1 on 64 bits); past it numpy
+# gives a ValueError or an empty table, not a MemoryError
+_MAX_TABLE = np.iinfo(np.intp).max // 8
 
 
 def _factors(model: NetworkModel) -> tuple[tuple[int, int], ...]:
@@ -173,12 +167,15 @@ def _factors(model: NetworkModel) -> tuple[tuple[int, int], ...]:
     if not _is_int(radius) or radius < 1:
         raise ParameterError(f"{kind.value} needs integer r >= 1, got r={radius}")
     for i, side in enumerate(sides):
+        if _is_int(side) and 2 * radius + 1 <= side <= _MAX_TABLE:
+            continue
+        name = f"k_{i + 1}" if "dims" in fields else "n"
         if not _is_int(side) or side < 2 * radius + 1:
-            name = f"k_{i + 1}" if "dims" in fields else "n"
             raise ParameterError(
                 f"{kind.value} needs every side an integer >= 2r + 1 = {2 * radius + 1}, "
                 f"so the two neighbor arcs stay disjoint, got {name}={side}"
             )
+        raise ParameterError(f"{kind.value} needs every side <= {_MAX_TABLE}, got {name}={side}")
     return tuple([(side, radius) for side in sides])
 
 

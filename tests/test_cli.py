@@ -15,9 +15,12 @@ import pytest
 from consensus_spectra import closed_design, closed_values, design as design_mod, parse_model
 from consensus_spectra.analysis import FIGURES
 from consensus_spectra.cli import build_parser, run
+from consensus_spectra.topology import _MAX_TABLE
 from conftest import strict_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the size rule's message for a ring side past the longest float64 table
+RING_PAST = f"ring needs every side <= {_MAX_TABLE}, got n="
 
 
 def invoke(capsys, *argv):
@@ -488,6 +491,39 @@ class TestValidationErrors:
         code, _, err = invoke(capsys, "design", "--model", "ring:n=2,a=0")
         assert code == 1
         assert err.startswith("error type=ParameterError")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("design", "--model", f"ring:n={2**60},a=0.3"), f"{RING_PAST}{2**60}"),
+            (("design", "--model", f"ring:n={2**63 - 1},a=0.3"), f"{RING_PAST}{2**63 - 1}"),
+            (("design", "--method=minimax", "--model", f"ring:n={2**63 - 1},a=0.3"), f"{RING_PAST}{2**63 - 1}"),
+            (("simulate", "--model", f"ring:n={2**63 - 1},a=0.3"), f"{RING_PAST}{2**63 - 1}"),
+            # --h skips the design, so no table is built before x0's
+            *[
+                (
+                    ("simulate", "--h=0.1", "--steps=1", "--model", f"torus:dims={side}x{side}x{side},a=0.3"),
+                    f"size {side**3} exceeds {_MAX_TABLE}, the longest table numpy can index",
+                )
+                for side in (2**21, 10**7)
+            ],
+        ],
+        ids=["design-2^60", "design-2^63", "minimax-2^63", "simulate-2^63", "x0-2^63", "x0-1e21"],
+    )
+    def test_past_the_longest_table_exit_1(self, capsys, argv, message):
+        # numpy meets these sizes with an empty table or a ValueError; the
+        # bound is checked before anything is allocated
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error type=ParameterError message={message!r}\n")
+
+    def test_verify_past_the_longest_table_exit_1(self, capsys, monkeypatch):
+        # a small model's design stands in for the pipeline's, which would
+        # tabulate three factors of 10**7 points before the trials start
+        small = design_mod.design_pipeline(parse_model("ring:n=8,a=0.3"))
+        monkeypatch.setattr(design_mod, "design_pipeline", lambda model: small)
+        code, out, err = invoke(capsys, "verify", "--model", "torus:dims=10000000x10000000x10000000,a=0.3")
+        message = f"size {10**21} exceeds {_MAX_TABLE}, the longest table numpy can index"
+        assert (code, out, err) == (1, "", f"error type=ParameterError message={message!r}\n")
 
     def test_unknown_kind_exit_1(self, capsys):
         code, _, err = invoke(capsys, "spectrum", "--model", "mesh:n=4,a=0")

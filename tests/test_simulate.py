@@ -34,8 +34,12 @@ from consensus_spectra.simulate import (
     _late_window_factor,
     _structured_apply_L,
 )
+from consensus_spectra.topology import _MAX_TABLE
 from conftest import strict_json
 from laplacian_reference import reference_laplacian
+
+# the note of a trial whose run_consensus rejects the design's h
+NOT_RUN = "not run: consensus parameter must be positive and finite, got h="
 
 
 def scalar_uniform_stream(seed, size):
@@ -77,6 +81,14 @@ class TestSplitmix:
     def test_uniform_vector_rejects_bad_inputs(self, seed, size):
         with pytest.raises(ParameterError, match="^need an integer seed and an integer size >= 0"):
             uniform_vector(seed, size)
+
+    @pytest.mark.parametrize("size", [_MAX_TABLE + 1, 2**63, 10**21], ids=["2^60", "2^63", "1e21"])
+    def test_uniform_vector_rejects_a_size_past_the_longest_table(self, size):
+        # raised before any table is built: numpy gives an empty arange for
+        # 2**63 and a ValueError for 10**21
+        with pytest.raises(ParameterError) as raised:
+            uniform_vector(7, size)
+        assert str(raised.value) == f"size {size} exceeds {_MAX_TABLE}, the longest table numpy can index"
 
     def test_uniform_vector_takes_numpy_integers(self):
         # the bits of the Python ints they equal
@@ -545,7 +557,7 @@ class TestVerifyConsensus:
         report = verify_consensus(model, design, trials=3, seed=4)
         assert [r.seed for r in report] == [4, 5, 6]
         assert not any(r.passed for r in report)
-        assert all(r.note == f"non-contracting design: h={design.h:.6g} <= 0" for r in report)
+        assert all(r.note == f"{NOT_RUN}{design.h}" for r in report)
         assert all(math.isnan(r.empirical_factor) for r in report)
         with pytest.raises(ParameterError):
             run_consensus(model, design.h, uniform_vector(4, 12), 10, 1e-9)
@@ -557,8 +569,15 @@ class TestVerifyConsensus:
         report = verify_consensus(model, design, trials=2, seed=4)
         assert [r.seed for r in report] == [4, 5]
         assert not any(r.passed for r in report)
-        assert all(r.note == f"non-finite design: h={h}" for r in report)
+        assert all(r.note == f"{NOT_RUN}{h}" for r in report)
         assert all(math.isnan(r.empirical_factor) for r in report)
+
+    def test_state_past_the_longest_table_raises(self):
+        # no x0 can be drawn, so no trial runs to carry a note; the design
+        # is a small model's, so nothing is tabulated
+        model = torus((10**7, 10**7, 10**7), 0.3)
+        with pytest.raises(ParameterError, match=f"^size {10**21} exceeds {_MAX_TABLE}, "):
+            verify_consensus(model, design_pipeline(ring(8, 0.3)), trials=1, seed=0)
 
     def test_non_contracting_design_cli_exit_0(self):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -573,7 +592,7 @@ class TestVerifyConsensus:
         assert "Traceback" not in proc.stderr
         report = json.loads(proc.stdout)
         assert report and not any(entry["pass"] for entry in report)
-        assert all(entry["note"].startswith("non-contracting design: h=") for entry in report)
+        assert all(entry["note"].startswith(NOT_RUN) for entry in report)
 
     def test_wrong_gamma_recorded_as_failure(self):
         # the iteration still contracts at the true factor; only the
@@ -666,7 +685,7 @@ class TestReportExport:
         assert math.isnan(design.h) and math.isnan(design.gamma)
         (record,) = strict_json(report_to_json(verify_consensus(model, design, 1, 0)))
         assert (record["gamma"], record["empirical_factor"], record["pass"]) == (None, None, False)
-        assert record["note"] == "non-finite design: h=nan"
+        assert record["note"] == f"{NOT_RUN}nan"
 
     def test_inf_design_writes_null(self):
         # the slow-mode design at h = inf: gamma = |1 - inf * lambda_s|
@@ -674,5 +693,5 @@ class TestReportExport:
         design = dataclasses.replace(closed_design(model), h=math.inf, gamma=math.inf)
         (record,) = strict_json(report_to_json(verify_consensus(model, design, 1, 0)))
         assert (record["gamma"], record["empirical_factor"], record["pass"]) == (None, None, False)
-        assert record["note"] == "non-finite design: h=inf"
+        assert record["note"] == f"{NOT_RUN}inf"
 

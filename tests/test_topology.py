@@ -20,9 +20,9 @@ from consensus_spectra import (
     rows_to_jsonl,
     sweep,
     torus,
-    validate,
 )
 from consensus_spectra.topology import (
+    _MAX_TABLE,
     FIELDS,
     factor_row,
     format_field,
@@ -69,18 +69,17 @@ def _reference_text(model):
 
 class TestValidate:
     def test_ring_ok(self):
-        m = NetworkModel(Kind.RING, a=0.5, n=4)
-        assert validate(m) is m
+        assert NetworkModel(Kind.RING, a=0.5, n=4).factors == ((4, 1),)
 
     def test_rnearest_needs_disjoint_arcs(self):
         # n = 6 < 2r + 1 = 7: the two neighbor arcs overlap
         with pytest.raises(ParameterError, match="disjoint"):
-            validate(NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=6, r=3))
+            NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=6, r=3)
 
     @pytest.mark.parametrize("a", [1.2, 2, np.int64(-1)], ids=["float", "int", "numpy-int"])
     def test_a_out_of_range(self, a):
         with pytest.raises(ParameterError, match=r"\[0, 1\]"):
-            validate(NetworkModel(Kind.RING, a=a, n=4))
+            NetworkModel(Kind.RING, a=a, n=4)
 
     @pytest.mark.parametrize(
         "a", [10**400, Fraction(10**400, 3), -(10**400)], ids=["int", "fraction", "negative-int"]
@@ -94,27 +93,26 @@ class TestValidate:
         # n = 2r + 1 makes every node adjacent to every other: the complete
         # digraph, whose two neighbor arcs are still disjoint
         m = NetworkModel(Kind.R_NEAREST_RING, a=0.0, n=7, r=3)
-        assert validate(m) is m
         assert m.factors == ((7, 3),)
 
     def test_small_ring_rejected(self):
         with pytest.raises(ParameterError):
-            validate(NetworkModel(Kind.RING, a=0.0, n=2))
+            NetworkModel(Kind.RING, a=0.0, n=2)
 
     def test_torus_side_floor(self):
         with pytest.raises(ParameterError, match="k_2"):
-            validate(NetworkModel(Kind.TORUS, a=0.0, dims=(4, 2)))
+            NetworkModel(Kind.TORUS, a=0.0, dims=(4, 2))
 
     def test_torus_needs_two_dims(self):
         with pytest.raises(ParameterError):
-            validate(NetworkModel(Kind.TORUS, a=0.0, dims=(5,)))
+            NetworkModel(Kind.TORUS, a=0.0, dims=(5,))
 
     @pytest.mark.parametrize("dims", [range(3, 6), [3, 4, 5], np.array([3, 4, 5])])
     def test_torus_dims_from_any_iterable(self, dims):
         assert torus(dims).dims == (3, 4, 5)
 
     def test_one_directional_ring_allowed(self):
-        assert validate(NetworkModel(Kind.RING, a=1.0, n=8)).a == 1.0
+        assert NetworkModel(Kind.RING, a=1.0, n=8).a == 1.0
 
     def test_kind_must_be_a_kind(self):
         # the grammar's name is not the enum member
@@ -135,7 +133,7 @@ class TestValidate:
     def test_size_field_of_another_kind_rejected(self, build):
         # the models are built inside the test: building one raises
         with pytest.raises(ParameterError, match="takes no"):
-            validate(build())
+            build()
 
     @pytest.mark.parametrize(
         "fields,build,spec,message",
@@ -215,9 +213,9 @@ class TestValidate:
             "torus-str-dims",
         ],
     )
-    def test_every_route_builds_through_validate(self, fields, build, spec, message):
+    def test_every_route_builds_through_one_check(self, fields, build, spec, message):
         # construction, dataclasses.replace, the wrappers and the grammar all
-        # raise validate's message: no route builds an invalid model.  A row
+        # raise the one check's message: no route builds an invalid model.  A row
         # without a message is valid, and every route builds the same model
         valid = {
             Kind.RING: ring(8, 0.5),
@@ -264,6 +262,31 @@ class TestValidate:
                 route()
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize("side", [_MAX_TABLE + 1, 2**63 - 1], ids=["2^60", "2^63-1"])
+    @pytest.mark.parametrize(
+        "fields, name", [(s[2], s[3]) for s in SPELLINGS], ids=[s[0] for s in SPELLINGS]
+    )
+    def test_no_side_above_the_longest_table(self, fields, name, side):
+        # numpy cannot index a float64 table longer than 2**60 - 1 entries
+        # (it meets n = 2**60 with a ValueError and n = 2**63 - 1 with an
+        # empty arange); the size rule rejects such a side when the model
+        # is built, and only tuples are built on the way
+        assert _MAX_TABLE == 2**60 - 1
+        good = NetworkModel(a=0.3, **fields(_MAX_TABLE))
+        assert max(good.shape) == _MAX_TABLE
+        bad = fields(side)
+        spec = ",".join(f"{k}={format_field(k, v)}" for k, v in bad.items() if k != "kind")
+        routes = [
+            lambda: NetworkModel(a=0.3, **bad),
+            lambda: dataclasses.replace(good, **bad),
+            lambda: parse_model(f"{bad['kind'].value}:{spec},a=0.3"),
+        ]
+        message = f"{bad['kind'].value} needs every side <= {_MAX_TABLE}, got {name}={side}"
+        for route in routes:
+            with pytest.raises(ParameterError) as raised:
+                route()
+            assert str(raised.value) == message
+
     @pytest.mark.parametrize(
         "fields, message",
         [
@@ -293,7 +316,7 @@ class TestValidate:
             lambda: r_nearest_ring(14, True),
             lambda: r_nearest_ring(14, 3, False),
             lambda: torus((3, True)),
-            lambda: validate(NetworkModel(Kind.RING, a=0.0, n=np.bool_(True))),
+            lambda: NetworkModel(Kind.RING, a=0.0, n=np.bool_(True)),
             lambda: ring(4, np.bool_(True)),
         ],
         ids=["ring-a", "ring-n", "rnearest-r", "rnearest-a", "torus-side", "numpy-bool-n", "numpy-bool-a"],
@@ -321,9 +344,9 @@ class TestValidate:
         assert rows_to_jsonl(sweep(model, {"a": [0.5]})) == rows_to_jsonl(sweep(reference, {"a": [0.5]}))
 
     @pytest.mark.parametrize("int_type", [np.int64, np.uint8])
-    def test_validate_accepts_numpy_integers(self, int_type):
+    def test_numpy_integer_sizes_accepted(self, int_type):
         model = NetworkModel(Kind.R_NEAREST_RING, a=0.5, n=int_type(14), r=int_type(3))
-        assert validate(model) is model
+        assert model.factors == ((14, 3),)
         assert type(model.n) is int and type(model.r) is int
 
 
