@@ -457,14 +457,14 @@ def _hull_candidates(model: NetworkModel) -> np.ndarray:
     hulls, whose boundary is the factor edges merged by angle; the
     merged index tuples' values are composed in ``_compose_cartesian``
     order, bit for bit the spectrum's entries.  Dropping the all-zeros
-    vertex leaves every vertex of the nonzero eigenvalues' hull but
-    those on one factor's axis: a vertex with two nonzero components
+    vertex cuts off only the corner it spans with its two merged
+    neighbours, so the candidates are the other merged vertices and the
+    nonzero eigenvalues in that corner.  Of those, only one factor's
+    values can be hull vertices: a vertex with two nonzero components
     beats, in its supporting direction, both tuples that drop one of
-    them, so it beats the all-zeros tuple too and is a vertex of the
-    whole hull.  So the candidates are the merged vertices with two or
-    more nonzero components and each factor's nonzero hull vertices, the
-    latter once per distinct (side, radius), as equal factors have equal
-    vertices.
+    them, so it beats the all-zeros tuple too and is a merged vertex.
+    Within the polygon the corner is zero's side of the chord; the chord
+    is included, so the real segment of a = 0 keeps its points.
     """
     factors = _factors(model, SpectrumSource.CLOSED_FORM)
 
@@ -488,10 +488,14 @@ def _hull_candidates(model: NetworkModel) -> np.ndarray:
         step = owner == e
         at.append(p[(np.cumsum(step) - step) % len(p)])
     merged = reduce(operator.add, [f[i] for f, i in zip(factors, at)])
-    mixed = np.count_nonzero(at, axis=0) > 1
+    # the polygon from its all-zeros vertex, whose neighbours span the corner
+    merged = np.roll(merged, -int(np.argmax(merged == 0)))
+    chord = (merged[1] - merged[-1]).conj()
     distinct = dict(zip(model.factors, factors)).values()
-    axes = [f[_convex_hull(f[1:]) + 1] for f in distinct]
-    return np.concatenate([merged[mixed]] + axes)
+    z = np.concatenate([merged[1:]] + [f[1:][(chord * (f[1:] - merged[-1])).imag <= 0] for f in distinct])
+    # sorted by real and then imaginary part, each value once
+    z = z[np.lexsort((z.imag, z.real))]
+    return z[np.concatenate(([True], z[1:] != z[:-1]))]
 
 
 def _minimax(model: NetworkModel) -> ConsensusDesign:

@@ -22,6 +22,7 @@ from consensus_spectra.design import DESIGN_METHODS
 from conftest import strict_json
 
 REFERENCE_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+FIGURE_DATA_DIR = Path(__file__).resolve().parent.parent / "figure_data"
 
 
 class TestSweep:
@@ -212,6 +213,18 @@ class TestFigureDatasets:
         # the benchmark's recorded tables, byte for byte
         expected = (REFERENCE_DIR / f"fig{figure_id}.csv").read_bytes()
         assert rows_to_csv(figure_dataset(figure_id).rows).encode() == expected
+
+    @pytest.mark.parametrize("figure_id", sorted(FIGURES))
+    def test_committed_figure_data_is_current(self, figure_id):
+        # figure_data/ holds what demos/04_figure_datasets.py writes, byte
+        # for byte, so a stale copy fails here
+        dataset = figure_dataset(figure_id)
+        expected = rows_to_csv(dataset.rows).encode()
+        assert (FIGURE_DATA_DIR / dataset.filename).read_bytes() == expected
+
+    def test_figure_data_holds_one_file_per_figure(self):
+        names = sorted(path.name for path in FIGURE_DATA_DIR.iterdir())
+        assert names == sorted(figure_dataset(k).filename for k in FIGURES)
 
     @pytest.mark.parametrize("figure_id", [3, 5, 7])
     def test_one_candidate_selection_per_topology(self, figure_id):

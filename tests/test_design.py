@@ -601,16 +601,26 @@ class TestMinimaxProperties:
 
 HIGHER_TORUS_DIMS = ((3, 3, 3), (3, 4, 5), (5, 7, 9), (4, 4, 4, 4), (3, 3, 3, 3, 3))
 
+# one side much larger than the others, in either position: the all-zeros
+# vertex's merged neighbours then come from one factor
+UNEQUAL_TORUS_DIMS = ((64, 3), (3, 64), (101, 4, 3), (200, 5))
+
 
 def higher_tori(a: float):
     return [torus(dims, a) for dims in HIGHER_TORUS_DIMS]
+
+
+def unequal_tori(a: float):
+    return [torus(dims, a) for dims in UNEQUAL_TORUS_DIMS]
 
 
 class TestMinimaxFromFactors:
     """The hull comes from the factors' Minkowski merge; solving on the
     hull of every nonzero eigenvalue gives the same bits."""
 
-    @pytest.mark.parametrize("family", [ring_models, rnearest_models, torus_models, higher_tori])
+    @pytest.mark.parametrize(
+        "family", [ring_models, rnearest_models, torus_models, higher_tori, unequal_tori]
+    )
     @pytest.mark.parametrize("source", list(SpectrumSource))
     def test_bit_identical_to_the_whole_spectrum_hull(self, source, family, monkeypatch):
         # minimax_h reads the model only, so a DFT spectrum gives the
@@ -638,25 +648,68 @@ class TestMinimaxFromFactors:
 
     @pytest.mark.parametrize("dims", [(1000, 1000, 1000), FIG6_SIDES], ids=["1000^3", "fig6"])
     def test_one_merge_of_the_factor_hulls(self, dims):
-        # one merge of the full hulls plus each factor's nonzero hull,
-        # not one merge per dimension
+        # one merge of the factor hulls, not one merge per dimension: the
+        # merged vertices but the all-zeros one, as the corner it spans
+        # holds no other value on these tori
         model = torus(dims, 0.3)
         factors = spectral._factors(model, SpectrumSource.CLOSED_FORM)
-        bound = sum(len(design._convex_hull(f)) + len(design._convex_hull(f[1:])) for f in factors)
+        bound = sum(len(design._convex_hull(f)) for f in factors) - 1
         assert len(design._hull_candidates(model)) <= bound
 
     @pytest.mark.parametrize("a", [0.3, 1.0])
     @pytest.mark.parametrize(
         "dims, distinct",
-        [((1000, 1000, 1000), 3996), ((8, 8, 8), 28), ((10, 10, 10, 10), 46)],
+        [((1000, 1000, 1000), 2999), ((8, 8, 8), 23), ((10, 10, 10, 10), 39)],
         ids=["1000^3", "8^3", "10^4"],
     )
     def test_each_candidate_enters_once(self, dims, distinct, a):
-        # equal sides share their axis vertices, and a merged vertex on one
-        # factor's axis is one of them
+        # the merged vertices but the all-zeros one, and the values in the
+        # corner it spans with its neighbours; on equal sides those
+        # neighbours are the only corner values, and each enters once
         z = design._hull_candidates(torus(dims, a))
         assert len(np.unique(z)) == distinct
         assert len(z) == distinct
+
+    def test_corner_on_a_symmetric_torus_keeps_the_real_segment(self):
+        # at a = 0 the polygon is a segment, and every nonzero value lies
+        # on the corner's chord; each distinct one enters
+        model = torus((4, 6), 0.0)
+        f4, f6 = spectral._factors(model, SpectrumSource.CLOSED_FORM)
+        far_end = f4.real.max() + f6.real.max()
+        expected = np.unique(np.concatenate((f4[1:], f6[1:], [far_end])))
+        assert np.array_equal(np.sort(design._hull_candidates(model)), expected)
+
+    def test_large_unequal_torus_keeps_its_recorded_bits(self):
+        # 10^12 nodes, too many for the whole-spectrum reference, so the
+        # design's bits are pinned; hulling each factor's nonzero values
+        # whole gives the same bits, in thousands of deletion rounds
+        assert repr(design._minimax(torus((100000, 100000, 100), 0.3))) == (
+            "ConsensusDesign(h=0.33333333322696096, gamma=0.9999999993617656, method='minimax', "
+            "lambda_s=ComplexEigenvalue(re=1.9739209156099946e-09, im=1.8849555909136248e-05, "
+            "index=(0, 1, 0)), lambda_l=ComplexEigenvalue(re=6.0, im=1.1021821192326179e-16, "
+            "index=(50000, 50000, 50)))"
+        )
+
+    @pytest.mark.parametrize(
+        "dims", [(100000, 100), (100000, 100000, 100), FIG6_SIDES], ids=["1e5x100", "1e5^2x100", "fig6"]
+    )
+    def test_one_hull_per_factor(self, dims, monkeypatch):
+        # one hull per factor, then the candidates' hull and the dual hull
+        sizes = []
+        hull = design._convex_hull
+
+        def counted(z):
+            sizes.append(len(z))
+            return hull(z)
+
+        monkeypatch.setattr(design, "_convex_hull", counted)
+        model = torus(dims, 0.3)
+        design._minimax(model)
+        assert len(sizes) <= len(model.factors) + 2
+        # the candidates' hull reads the merged polygon's vertices and the
+        # corner, no more points than the factors hold (100,099 of 100,100
+        # on the 100000 x 100 torus)
+        assert sizes[-2] <= sum(sizes[: len(model.factors)])
 
     @pytest.mark.parametrize("method", sorted(DESIGN_METHODS))
     def test_no_design_route_builds_a_spectrum(self, method, monkeypatch):
