@@ -418,33 +418,41 @@ def closed_design(model: NetworkModel) -> ConsensusDesign:
     return _on_slow_mode(h, pipeline.lambda_s, pipeline.lambda_l, "closed")
 
 
-def _convex_hull(z: np.ndarray) -> np.ndarray:
-    """Positions in ``z`` of its convex-hull vertices, counter-clockwise
-    from the leftmost-lowest point (both ends for collinear points).
+def _sorted_points(z: np.ndarray) -> np.ndarray:
+    """Positions in ``z`` sorted by real and then imaginary part, each
+    value once: two copies of a hull vertex would each see a zero turn."""
+    order = np.lexsort((z.imag, z.real))
+    sorted_z = z[order]
+    return order[np.concatenate(([True], sorted_z[1:] != sorted_z[:-1]))]
+
+
+def _chain(z: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The convex chain of the distinct points ``z[order]``, walked in
+    ``order`` with the hull on the left, both ends kept: the lower chain
+    for ``_sorted_points`` order, the upper chain for its reverse.
 
     Andrew's monotone chain with the stack replaced by rounds of
     simultaneous deletion: a point that does not turn left between its
-    current neighbours on a chain is no hull vertex, so every such point
-    goes at once, and the rounds end when both chains turn left
-    everywhere.  Exact duplicates go first, since two copies of a vertex
-    would each see a zero turn.
+    current neighbours is no chain vertex, so every such point goes at
+    once, and the rounds end when the chain turns left everywhere.
     """
-    order = np.lexsort((z.imag, z.real))
-    sorted_z = z[order]
-    order = order[np.concatenate(([True], sorted_z[1:] != sorted_z[:-1]))]
+    while True:
+        q = z[order]
+        d = q[1:] - q[:-1]
+        left = (d[:-1].conj() * d[1:]).imag > 0
+        if left.all():
+            return order
+        order = order[np.concatenate(([True], left, [True]))]
+
+
+def _convex_hull(z: np.ndarray) -> np.ndarray:
+    """Positions in ``z`` of its convex-hull vertices, counter-clockwise
+    from the leftmost-lowest point (both ends for collinear points): the
+    lower chain, then the upper one."""
+    order = _sorted_points(z)
     if len(order) < 3:
         return order
-    chains = []
-    for chain in (order, order[::-1]):
-        while True:
-            q = z[chain]
-            d = q[1:] - q[:-1]
-            left = (d[:-1].conj() * d[1:]).imag > 0
-            if left.all():
-                break
-            chain = chain[np.concatenate(([True], left, [True]))]
-        chains.append(chain[:-1])
-    return np.concatenate(chains)
+    return np.concatenate([_chain(z, chain)[:-1] for chain in (order, order[::-1])])
 
 
 def _hull_candidates(model: NetworkModel) -> np.ndarray:
@@ -493,9 +501,7 @@ def _hull_candidates(model: NetworkModel) -> np.ndarray:
     chord = (merged[1] - merged[-1]).conj()
     distinct = dict(zip(model.factors, factors)).values()
     z = np.concatenate([merged[1:]] + [f[1:][(chord * (f[1:] - merged[-1])).imag <= 0] for f in distinct])
-    # sorted by real and then imaginary part, each value once
-    z = z[np.lexsort((z.imag, z.real))]
-    return z[np.concatenate(([True], z[1:] != z[:-1]))]
+    return z[_sorted_points(z)]
 
 
 def _minimax(model: NetworkModel) -> ConsensusDesign:
@@ -506,11 +512,9 @@ def _minimax(model: NetworkModel) -> ConsensusDesign:
     re = z.real
     msq = re * re + z.imag * z.imag
     dual = msq - 2j * re
-    outline = _convex_hull(dual)
-    # the upper chain runs counter-clockwise from the rightmost vertex
-    # back to the first; reversed, it lists the lines by rising slope
-    right = np.lexsort((dual[outline].imag, dual[outline].real))[-1]
-    upper = np.concatenate((outline[right:], outline[:1]))[::-1] if right else outline
+    # the dual's upper chain runs from its rightmost point back to its
+    # leftmost; reversed, it lists the envelope's lines by rising slope
+    upper = _chain(dual, _sorted_points(dual)[::-1])[::-1]
     slope, re_up = msq[upper], re[upper]
     with np.errstate(divide="ignore", invalid="ignore"):
         # where line k hands the envelope over to line k + 1
@@ -536,13 +540,13 @@ def minimax_h(spectrum: Spectrum) -> ConsensusDesign:
         max |1 - h*lambda|^2 = 1 + h * max (|lambda|^2 * h - 2 Re lambda),
 
     the inner maximum is the upper envelope of one line per vertex, and
-    that envelope is dual to the upper hull of the points
-    (|lambda|^2, -2 Re lambda).  The objective is convex, so its minimum
-    lies on the first envelope piece at whose right end it stops
-    falling: at that line's own minimizer Re lambda / |lambda|^2, or at
-    the piece's left end, the crossing of two lines
-    2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is exact; no
-    search runs.
+    that envelope is dual to the upper chain of the points
+    (|lambda|^2, -2 Re lambda); their lower chain plays no part.  The
+    objective is convex, so its minimum lies on the first envelope piece
+    at whose right end it stops falling: at that line's own minimizer
+    Re lambda / |lambda|^2, or at the piece's left end, the crossing of
+    two lines 2 (Re l_i - Re l_j) / (|l_i|^2 - |l_j|^2).  The solve is
+    exact; no search runs.
 
     Only ``spectrum.model`` is read, not the values or the source: the
     hull vertices come from the model's closed-form per-dimension

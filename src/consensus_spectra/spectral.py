@@ -216,10 +216,13 @@ def factor_extremal_pair(model: NetworkModel) -> tuple[ComplexEigenvalue, Comple
     to the largest |imaginary part| (within 1e-9), then to the smallest
     flat index: among equal real parts the largest |im| member has the
     largest modulus of 1 - h*lambda for any h > 0, so it constrains the
-    design.  Each value has the bits of ``full_spectrum(model)``'s entry
-    at its index.  The candidates (``_closed_candidates``) come from the
-    a-free real parts, once per topology; a enters only at the pick, in
-    O(candidates).
+    design.  The tie is absolute, so past a side of about 2.4e5 the gap
+    6*pi**2/n**2 between that side's two slowest real parts falls below
+    it and lambda_s need not be the slowest mode: ``ring(10**6, 0.3)``
+    picks index (7,).  Each value has the bits of
+    ``full_spectrum(model)``'s entry at its index.  The candidates
+    (``_closed_candidates``) come from the a-free real parts, once per
+    topology; a enters only at the pick, in O(candidates).
 
     Every model has a pair, the 3-node ring's two equal index-1 members
     included; only the equal-modulus solve ``design.solve_h_pair`` refuses.

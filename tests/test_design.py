@@ -599,6 +599,39 @@ class TestMinimaxProperties:
             assert slopes.min() <= 1e-9 and slopes.max() >= -1e-9
 
 
+def _point_sets():
+    # a small integer grid gives exact duplicates, collinear runs and,
+    # through the dual map, conjugate pairs that share one dual point
+    grid = st.builds(complex, st.integers(-4, 4), st.integers(-4, 4))
+    floats = st.builds(complex, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    return st.lists(st.one_of(grid, floats), min_size=1, max_size=200)
+
+
+def _spliced_upper(z):
+    """The upper chain cut out of the full hull: counter-clockwise from
+    the rightmost vertex back to the first, reversed."""
+    outline = design._convex_hull(z)
+    right = np.lexsort((z[outline].imag, z[outline].real))[-1]
+    return np.concatenate((outline[right:], outline[:1]))[::-1] if right else outline
+
+
+class TestUpperChain:
+    @given(_point_sets(), st.booleans())
+    @example([0j], False)
+    @example([1 + 1j, 1 - 1j], True)
+    @example([0j, 1 + 1j, 2 + 2j, 3 + 3j], False)
+    @example([2 + 0j, 0j, 2 + 0j, 1 + 5j, 1 - 5j, 1 + 5j], True)
+    @settings(max_examples=300, deadline=None)
+    def test_one_chain_pass_is_the_hull_splice(self, points, dual):
+        z = np.array(points, dtype=complex)
+        if dual:
+            # the map _minimax applies: (|z|^2, -2 Re z)
+            re = z.real
+            z = re * re + z.imag * z.imag - 2j * re
+        upper = design._chain(z, design._sorted_points(z)[::-1])[::-1]
+        assert np.array_equal(upper, _spliced_upper(z))
+
+
 HIGHER_TORUS_DIMS = ((3, 3, 3), (3, 4, 5), (5, 7, 9), (4, 4, 4, 4), (3, 3, 3, 3, 3))
 
 # one side much larger than the others, in either position: the all-zeros
@@ -690,26 +723,45 @@ class TestMinimaxFromFactors:
             "index=(50000, 50000, 50)))"
         )
 
+    def test_cascading_dual_chains_keep_their_recorded_bits(self):
+        # the dual's chains take 2,758 (lower) and 1,143 (upper) deletion
+        # rounds on this ring; only the upper chain enters the envelope
+        assert repr(design._minimax(r_nearest_ring(100_000, 8, 0.9))) == (
+            "ConsensusDesign(h=0.09716506573482271, gamma=0.9999999804367927, method='minimax', "
+            "lambda_s=ComplexEigenvalue(re=4.026798539058518e-07, im=0.0020357519913052247, "
+            "index=(1,)), lambda_l=ComplexEigenvalue(re=10.368188256498202, im=2.0259478225067222, "
+            "index=(8423,)))"
+        )
+
     @pytest.mark.parametrize(
         "dims", [(100000, 100), (100000, 100000, 100), FIG6_SIDES], ids=["1e5x100", "1e5^2x100", "fig6"]
     )
     def test_one_hull_per_factor(self, dims, monkeypatch):
-        # one hull per factor, then the candidates' hull and the dual hull
-        sizes = []
-        hull = design._convex_hull
+        # one hull per factor, then the candidates' hull; the dual takes
+        # one chain pass, its upper chain, and no hull
+        sizes, hulled, dual_passes = [], [], []
+        hull, chain = design._convex_hull, design._chain
 
-        def counted(z):
+        def counted_hull(z):
             sizes.append(len(z))
+            hulled.append(z)
             return hull(z)
 
-        monkeypatch.setattr(design, "_convex_hull", counted)
+        def counted_chain(z, order):
+            if not any(z is h for h in hulled):
+                dual_passes.append(len(z))
+            return chain(z, order)
+
+        monkeypatch.setattr(design, "_convex_hull", counted_hull)
+        monkeypatch.setattr(design, "_chain", counted_chain)
         model = torus(dims, 0.3)
         design._minimax(model)
-        assert len(sizes) <= len(model.factors) + 2
+        assert len(sizes) == len(model.factors) + 1
         # the candidates' hull reads the merged polygon's vertices and the
         # corner, no more points than the factors hold (100,099 of 100,100
         # on the 100000 x 100 torus)
-        assert sizes[-2] <= sum(sizes[: len(model.factors)])
+        assert sizes[-1] <= sum(sizes[:-1])
+        assert len(dual_passes) == 1 and dual_passes[0] <= sizes[-1]
 
     @pytest.mark.parametrize("method", sorted(DESIGN_METHODS))
     def test_no_design_route_builds_a_spectrum(self, method, monkeypatch):
